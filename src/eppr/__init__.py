@@ -41,8 +41,6 @@ from .spline import (
     KnotVector,
     basis_deriv_matrix,
     basis_matrix,
-    eval_basis,
-    eval_basis_deriv,
     make_uniform_knots,
 )
 
@@ -66,8 +64,6 @@ __all__ = [
     "basis_matrix",
     "bic_value",
     "default_config",
-    "eval_basis",
-    "eval_basis_deriv",
     "eval_ridge",
     "eval_ridge_batch",
     "fit",

@@ -21,7 +21,6 @@ _MAX_ESCALATIONS = 6
 class LsSolution:
     coefficients: np.ndarray
     sse: float
-    rank_deficient: bool
 
 
 def gram_mean_diag(design: np.ndarray) -> float:
@@ -38,8 +37,10 @@ def solve_ridge_ls(
 
     Solves the damped normal equations through a Cholesky factorization.
     ``damping=None`` selects ``1e-8`` times the mean diagonal of the Gram
-    matrix.  ``rank_deficient`` flags a numerically singular undamped
-    system; the damped solution is still returned.
+    matrix.  With ``damping == 0`` an eigenvalue check first decides
+    whether the Gram matrix is numerically singular; a singular undamped
+    system, or any failed factorization, falls back to the minimum-norm
+    ``lstsq`` solution.  A damped system skips the eigenvalue check.
     """
     design = np.asarray(design, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -57,30 +58,33 @@ def solve_ridge_ls(
     if damping is None:
         damping = DEFAULT_DAMPING_SCALE * float(np.mean(np.diag(gram)))
 
-    eigs = np.linalg.eigvalsh(gram)
     m = gram.shape[0]
-    largest = max(float(eigs[-1]), 0.0)
-    rank_deficient = bool(eigs[0] <= m * np.finfo(float).eps * largest)
-
     beta = None
-    if damping > 0.0 or not rank_deficient:
+    if damping > 0.0 or not _numerically_singular(gram):
         system = gram + damping * np.eye(m)
         try:
-            factor = scipy.linalg.cho_factor(system, lower=True)
-            beta = scipy.linalg.cho_solve(factor, rhs)
+            # design and target are checked finite above; a non-finite
+            # solution is caught below.
+            factor = scipy.linalg.cho_factor(
+                system, lower=True, check_finite=False
+            )
+            beta = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
         except scipy.linalg.LinAlgError:
-            rank_deficient = True
+            pass
     if beta is None:
-        # Undamped singular system: take the minimum-norm solution.
+        # Undamped singular system or failed factorization: take the
+        # minimum-norm solution.
         beta = np.linalg.lstsq(design, target, rcond=None)[0]
     if not np.all(np.isfinite(beta)):
         raise NumericError("least-squares solve produced non-finite values")
     residual = target - design @ beta
-    return LsSolution(
-        coefficients=beta,
-        sse=float(residual @ residual),
-        rank_deficient=rank_deficient,
-    )
+    return LsSolution(coefficients=beta, sse=float(residual @ residual))
+
+
+def _numerically_singular(gram: np.ndarray) -> bool:
+    eigs = np.linalg.eigvalsh(gram)
+    largest = max(float(eigs[-1]), 0.0)
+    return bool(eigs[0] <= gram.shape[0] * np.finfo(float).eps * largest)
 
 
 def gauss_newton_delta(
@@ -102,8 +106,10 @@ def gauss_newton_delta(
     damping = DEFAULT_DAMPING_SCALE * max(float(np.mean(np.diag(gram))), 1e-12)
     for _ in range(_MAX_ESCALATIONS + 1):
         try:
-            factor = scipy.linalg.cho_factor(gram + damping * np.eye(q), lower=True)
-            delta = scipy.linalg.cho_solve(factor, rhs)
+            factor = scipy.linalg.cho_factor(
+                gram + damping * np.eye(q), lower=True, check_finite=False
+            )
+            delta = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
             if np.all(np.isfinite(delta)):
                 return delta
         except scipy.linalg.LinAlgError:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eppr.errors import NumericError
 from eppr.numerics import (
+    DEFAULT_DAMPING_SCALE,
     gauss_newton_sphere_step,
     gram_mean_diag,
     solve_ridge_ls,
@@ -18,15 +20,13 @@ class TestSolveRidgeLs:
         sol = solve_ridge_ls(np.eye(3), target, damping=0.0)
         np.testing.assert_allclose(sol.coefficients, target, atol=1e-12)
         assert sol.sse == pytest.approx(0.0, abs=1e-20)
-        assert not sol.rank_deficient
 
-    def test_duplicated_column_flags_rank_deficiency(self) -> None:
+    def test_duplicated_column_matches_reduced_fit(self) -> None:
         rng = np.random.default_rng(0)
         base = rng.standard_normal((40, 3))
         design = np.column_stack([base, base[:, 0]])
         target = rng.standard_normal(40)
         sol = solve_ridge_ls(design, target, damping=1e-8)
-        assert sol.rank_deficient
         # The damped fit must match the fit on the reduced design.
         reduced = solve_ridge_ls(base, target, damping=1e-8)
         assert sol.sse == pytest.approx(reduced.sse, rel=1e-6, abs=1e-8)
@@ -90,6 +90,106 @@ class TestSolveRidgeLs:
         assert gram_mean_diag(design) == pytest.approx(
             float(np.mean(np.diag(gram))), rel=1e-12
         )
+
+
+def reference_solve_ridge_ls(design, target, damping=None):
+    """The solve before it skipped the eigenvalue check on damped systems.
+
+    Returns (coefficients, sse, rank_deficient); inputs are trusted.
+    """
+    gram = design.T @ design
+    rhs = design.T @ target
+    if damping is None:
+        damping = DEFAULT_DAMPING_SCALE * float(np.mean(np.diag(gram)))
+    eigs = np.linalg.eigvalsh(gram)
+    m = gram.shape[0]
+    largest = max(float(eigs[-1]), 0.0)
+    rank_deficient = bool(eigs[0] <= m * np.finfo(float).eps * largest)
+    beta = None
+    if damping > 0.0 or not rank_deficient:
+        system = gram + damping * np.eye(m)
+        try:
+            factor = scipy.linalg.cho_factor(system, lower=True)
+            beta = scipy.linalg.cho_solve(factor, rhs)
+        except scipy.linalg.LinAlgError:
+            rank_deficient = True
+    if beta is None:
+        beta = np.linalg.lstsq(design, target, rcond=None)[0]
+    residual = target - design @ beta
+    return beta, float(residual @ residual), rank_deficient
+
+
+def random_design(rng):
+    return rng.standard_normal((60, 8))
+
+
+def ill_conditioned_design(rng):
+    # Monomials up to degree 9 on [0, 1]: condition number above 1e6.
+    return np.vander(np.sort(rng.uniform(0.0, 1.0, 60)), 10)
+
+
+def duplicated_column_design(rng):
+    base = rng.standard_normal((60, 4))
+    return np.column_stack([base, base[:, 1]])
+
+
+def spline_design(rng):
+    return basis_matrix(make_uniform_knots(10, 3), rng.uniform(-1.0, 1.0, 60))
+
+
+class TestLeanSolveMatchesReference:
+    @pytest.mark.parametrize("make_design", [
+        random_design, ill_conditioned_design, duplicated_column_design,
+        spline_design,
+    ])
+    @pytest.mark.parametrize("damping", [None, 1e-8, 1e-3])
+    def test_damped_bit_identical(self, make_design, damping) -> None:
+        rng = np.random.default_rng(7)
+        design = make_design(rng)
+        target = rng.standard_normal(design.shape[0])
+        beta, sse, _ = reference_solve_ridge_ls(design, target, damping)
+        sol = solve_ridge_ls(design, target, damping)
+        assert np.array_equal(sol.coefficients, beta)
+        assert np.array_equal(sol.sse, sse)
+
+    @pytest.mark.parametrize("kind", ["duplicate", "zero", "near_duplicate"])
+    def test_undamped_singular_takes_lstsq(self, kind) -> None:
+        # The zero column is the oga refit after a zero ridge.  The near
+        # duplicate is singular to the eigenvalue check, yet Cholesky would
+        # factor it and return a different answer.
+        rng = np.random.default_rng(8)
+        design = duplicated_column_design(rng)
+        if kind == "zero":
+            design[:, -1] = 0.0
+        elif kind == "near_duplicate":
+            design[:, -1] += 3e-8 * rng.standard_normal(design.shape[0])
+        target = rng.standard_normal(design.shape[0])
+        beta, sse, rank_deficient = reference_solve_ridge_ls(
+            design, target, 0.0
+        )
+        assert rank_deficient
+        sol = solve_ridge_ls(design, target, damping=0.0)
+        lstsq = np.linalg.lstsq(design, target, rcond=None)[0]
+        assert np.array_equal(sol.coefficients, lstsq)
+        assert np.array_equal(sol.coefficients, beta)
+        assert sol.sse == sse
+        if kind == "zero":
+            assert abs(sol.coefficients[-1]) < 1e-12
+        elif kind == "duplicate":
+            # Minimum norm splits the weight evenly between the copies.
+            assert sol.coefficients[1] == pytest.approx(sol.coefficients[-1])
+
+    def test_undamped_full_rank_uses_cholesky(self) -> None:
+        rng = np.random.default_rng(9)
+        design = random_design(rng)
+        target = rng.standard_normal(design.shape[0])
+        beta, sse, rank_deficient = reference_solve_ridge_ls(
+            design, target, 0.0
+        )
+        assert not rank_deficient
+        sol = solve_ridge_ls(design, target, damping=0.0)
+        assert np.array_equal(sol.coefficients, beta)
+        assert sol.sse == sse
 
 
 class TestGaussNewtonSphereStep:

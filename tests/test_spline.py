@@ -10,10 +10,18 @@ from eppr.spline import (
     KnotVector,
     basis_deriv_matrix,
     basis_matrix,
-    eval_basis,
-    eval_basis_deriv,
     make_uniform_knots,
 )
+
+
+def eval_basis(kv: KnotVector, v: float) -> np.ndarray:
+    """Values of the basis functions at a single point."""
+    return basis_matrix(kv, np.array([float(v)]))[0]
+
+
+def eval_basis_deriv(kv: KnotVector, v: float) -> np.ndarray:
+    """First derivatives of the basis functions at a single point."""
+    return basis_deriv_matrix(kv, np.array([float(v)]))[0]
 
 
 def bernstein_cubic(v: float) -> np.ndarray:
