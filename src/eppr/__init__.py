@@ -3,8 +3,6 @@
 from .data_io import (
     ColumnScaling,
     Dataset,
-    apply_scaling,
-    fit_scaling,
     load_csv,
     partition,
 )
@@ -23,7 +21,6 @@ from .greedy import (
     PprModel,
     RunData,
     bic_value,
-    fit_ppr_full,
     relaxation_weight,
     run_greedy,
     select_candidate_subsets,
@@ -32,10 +29,8 @@ from .singleindex import (
     ProjectionScaler,
     Ridge,
     SingleIndexOptions,
-    eval_ridge,
     eval_ridge_batch,
     fit_single_index,
-    project_and_scale,
 )
 from .spline import (
     KnotVector,
@@ -59,23 +54,18 @@ __all__ = [
     "Ridge",
     "RunData",
     "SingleIndexOptions",
-    "apply_scaling",
     "basis_deriv_matrix",
     "basis_matrix",
     "bic_value",
     "default_config",
-    "eval_ridge",
     "eval_ridge_batch",
     "fit",
-    "fit_ppr_full",
-    "fit_scaling",
     "fit_single_index",
     "from_json_text",
     "load_csv",
     "load_model",
     "make_uniform_knots",
     "partition",
-    "project_and_scale",
     "relaxation_weight",
     "run_greedy",
     "save_model",

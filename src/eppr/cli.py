@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -174,10 +174,10 @@ def write_scenario_csv(path: str, X: np.ndarray, y: np.ndarray) -> None:
 
 @dataclass
 class BenchmarkReport:
-    """Everything a benchmark run produced, timing included.
+    """Everything a benchmark run produced.
 
-    ``render`` emits only the deterministic part; wall-clock stays out of
-    the document so identical runs yield byte-identical reports.
+    Wall-clock time is logged to stderr while the run goes and never
+    stored here, so identical runs yield byte-identical reports.
     """
 
     data_label: str
@@ -192,7 +192,6 @@ class BenchmarkReport:
     k_means: list[float | None]
     baseline_values: list[float | None] | None
     config_snapshot: dict
-    wall_clock: list[float]
 
     def successful(self) -> list[float]:
         return [v for v in self.values if v is not None]
@@ -227,6 +226,7 @@ class BenchmarkReport:
         lines.append("")
 
         good = self.successful()
+        base_good = [v for v in self.baseline_values or [] if v is not None]
         if good:
             mean = float(np.mean(good))
             std = float(np.std(good))
@@ -236,14 +236,12 @@ class BenchmarkReport:
             )
         else:
             lines.append("summary: no successful repeats")
-        if self.baseline_values is not None:
-            base_good = [v for v in self.baseline_values if v is not None]
-            if base_good:
-                lines.append(
-                    f"baseline: {self.metric_name} mean "
-                    f"{float(np.mean(base_good)):.6f}  std "
-                    f"{float(np.std(base_good)):.6f}"
-                )
+        if base_good:
+            lines.append(
+                f"baseline: {self.metric_name} mean "
+                f"{float(np.mean(base_good)):.6f}  std "
+                f"{float(np.std(base_good)):.6f}"
+            )
         lines.append("")
 
         lines.append("[machine]")
@@ -264,19 +262,18 @@ class BenchmarkReport:
                 "failed" if value is None else repr(value)
             )
         if good:
-            kv[f"{self.metric_name}_mean"] = repr(float(np.mean(good)))
-            kv[f"{self.metric_name}_std"] = repr(float(np.std(good)))
+            kv[f"{self.metric_name}_mean"] = repr(mean)
+            kv[f"{self.metric_name}_std"] = repr(std)
         if self.baseline_values is not None:
             for i in range(self.repeats):
                 base = self.baseline_values[i]
                 kv[f"baseline_{self.metric_name}_repeat_{i + 1}"] = (
                     "failed" if base is None else repr(base)
                 )
-            base_good = [v for v in self.baseline_values if v is not None]
-            if base_good:
-                kv[f"baseline_{self.metric_name}_mean"] = repr(
-                    float(np.mean(base_good))
-                )
+        if base_good:
+            kv[f"baseline_{self.metric_name}_mean"] = repr(
+                float(np.mean(base_good))
+            )
         for key, value in kv.items():
             lines.append(f"{key}={value}")
         lines.append("")
@@ -289,6 +286,18 @@ def _linear_baseline(
     design = np.column_stack([np.ones(X_train.shape[0]), X_train])
     beta = np.linalg.lstsq(design, y_train, rcond=None)[0]
     return beta[0] + X_test @ beta[1:]
+
+
+def _score(
+    task: str, predictions: np.ndarray, y_test: np.ndarray, y_train_mean: float
+) -> tuple[float | None, str | None]:
+    """The task's metric, or ``None`` and the reason it is undefined."""
+    try:
+        if task == "regression":
+            return metric_rpe(predictions, y_test, y_train_mean), None
+        return metric_mr(predictions, y_test), None
+    except (NumericError, ConfigError) as exc:
+        return None, str(exc)
 
 
 def run_benchmark(
@@ -320,7 +329,6 @@ def run_benchmark(
     errors: list[str | None] = []
     k_means: list[float | None] = []
     baseline_values: list[float | None] | None = [] if baseline else None
-    wall_clock: list[float] = []
     config_snapshot: dict = {}
     n_train = n_test = 0
 
@@ -344,38 +352,20 @@ def run_benchmark(
         model = ensemble.fit(train.X, train.y, config, workers=workers)
         predictions = model.predict(test.X)
         elapsed = time.perf_counter() - started
-        wall_clock.append(elapsed)
         print(
             f"repeat {rep + 1}/{repeats}: fit+predict {elapsed:.2f}s",
             file=sys.stderr,
         )
 
         k_means.append(float(np.mean([m.k for m in model.members])))
-        try:
-            if task == "regression":
-                value = metric_rpe(
-                    predictions, test.y, float(np.mean(train.y))
-                )
-            else:
-                value = metric_mr(predictions, test.y)
-            values.append(value)
-            errors.append(None)
-        except (NumericError, ConfigError) as exc:
-            values.append(None)
-            errors.append(str(exc))
-
+        y_train_mean = float(np.mean(train.y))
+        value, error = _score(task, predictions, test.y, y_train_mean)
+        values.append(value)
+        errors.append(error)
         if baseline_values is not None:
             base_pred = _linear_baseline(train.X, train.y, test.X)
-            try:
-                if task == "regression":
-                    base = metric_rpe(
-                        base_pred, test.y, float(np.mean(train.y))
-                    )
-                else:
-                    base = metric_mr(base_pred, test.y)
-                baseline_values.append(base)
-            except (NumericError, ConfigError):
-                baseline_values.append(None)
+            base, _ = _score(task, base_pred, test.y, y_train_mean)
+            baseline_values.append(base)
 
     return BenchmarkReport(
         data_label=data_label,
@@ -390,7 +380,6 @@ def run_benchmark(
         k_means=k_means,
         baseline_values=baseline_values,
         config_snapshot=config_snapshot,
-        wall_clock=wall_clock,
     )
 
 
@@ -408,24 +397,13 @@ def _resolve_target(path: str, target: str) -> Dataset:
         raise
 
 
-def _config_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for flag, field_name in (
-        ("variant", "variant"),
-        ("q", "q"),
-        ("ell", "ell"),
-        ("B", "B"),
-        ("kmax", "k_max"),
-        ("J", "J"),
-        ("degree", "degree"),
-        ("nu", "nu"),
-        ("stopping", "stopping"),
-        ("truncate", "truncation_mode"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    return overrides
+def _fit_flags(args: argparse.Namespace) -> dict:
+    """FitConfig fields given as flags; each flag's dest is its field name."""
+    return {
+        f.name: getattr(args, f.name)
+        for f in fields(ensemble.FitConfig)
+        if f.name != "seed" and getattr(args, f.name, None) is not None
+    }
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -433,22 +411,22 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=int, help="bagged subset size")
     parser.add_argument("--ell", type=int, help="candidate subsets per step")
     parser.add_argument("--B", type=int, help="ensemble size")
-    parser.add_argument("--kmax", type=int, help="greedy step cap")
+    parser.add_argument("--kmax", dest="k_max", type=int,
+                        help="greedy step cap")
     parser.add_argument("--J", type=int, help="spline basis dimension")
     parser.add_argument("--degree", type=int, help="spline degree")
     parser.add_argument("--nu", type=float, help="BIC penalty exponent")
     parser.add_argument("--stopping", choices=("bic", "fixed_k"))
-    parser.add_argument("--truncate", choices=("off", "ln_n"))
+    parser.add_argument("--truncate", dest="truncation_mode",
+                        choices=("off", "ln_n"))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = _resolve_target(args.data, args.target)
     n, p = dataset.X.shape
-    config = ensemble.default_config(n, p)
-    overrides = _config_overrides(args)
-    if overrides:
-        config = replace(config, **overrides)
-    config = replace(config, seed=args.seed)
+    config = replace(
+        ensemble.default_config(n, p), **_fit_flags(args), seed=args.seed
+    )
     model = ensemble.fit(
         dataset.X, dataset.y, config, column_names=dataset.column_names
     )
@@ -484,7 +462,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         task=args.task,
         repeats=args.repeats,
         seed=args.seed,
-        overrides=_config_overrides(args),
+        overrides=_fit_flags(args),
         baseline=args.baseline,
         data_label=args.data,
     )
@@ -565,15 +543,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DataError as exc:
+    except (DataError, ConfigError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        if isinstance(exc, DataError):
+            return EXIT_IO
+        return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,18 +51,11 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     column_names: list[str] = field(default_factory=list)
-    scaling: ColumnScaling | None = None
     dropped_rows: int = 0
 
 
-def load_csv(path: str, target: str | int) -> Dataset:
-    """Read a headed CSV into a Dataset, dropping rows with bad cells.
-
-    ``target`` selects the response column by name or by position in the
-    header.  Rows with missing or non-numeric cells are dropped and
-    counted; a non-target column that never parses is treated as a load
-    error rather than silently encoded.
-    """
+def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """Stripped header and non-blank body rows of a headed CSV file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))
@@ -71,8 +65,65 @@ def load_csv(path: str, target: str | int) -> Dataset:
         raise DataError("missing_file", f"cannot read {path}: {exc}")
     if not rows:
         raise DataError("no_rows", f"{path} is empty")
+    body = [row for row in rows[1:] if any(cell.strip() for cell in row)]
+    return [name.strip() for name in rows[0]], body
 
-    header = [name.strip() for name in rows[0]]
+
+def _is_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def _parse_columns(
+    path: str, header: list[str], body: list[list[str]], cols: list[int]
+) -> tuple[np.ndarray, int]:
+    """Float matrix of the columns ``cols`` and the count of dropped rows.
+
+    A row is dropped and counted when its width differs from the header's
+    or one of its selected cells is not a finite number.  A selected column
+    that never holds a number is a load error rather than silently encoded.
+    """
+    width = len(header)
+    kept: list[list[float]] = []
+    for row in body:
+        if len(row) == width:
+            try:
+                kept.append([float(row[j]) for j in cols])
+            except ValueError:
+                pass
+    matrix = np.asarray(kept, dtype=float).reshape(len(kept), len(cols))
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        matrix = matrix[finite]
+    dropped = len(body) - matrix.shape[0]
+
+    if matrix.shape[0] == 0:
+        full = [row for row in body if len(row) == width]
+        never_numeric = [
+            header[j] for j in cols
+            if full and not any(_is_number(row[j]) for row in full)
+        ]
+        if never_numeric:
+            raise DataError(
+                "non_numeric_column",
+                f"column(s) never numeric: {', '.join(never_numeric)}",
+            )
+        raise DataError("no_rows", f"{path} has no usable data rows")
+    if dropped:
+        logger.info("dropped %d row(s) of %s with missing or bad cells",
+                    dropped, path)
+    return matrix, dropped
+
+
+def load_csv(path: str, target: str | int) -> Dataset:
+    """Read a headed CSV into a Dataset, dropping rows with bad cells.
+
+    ``target`` selects the response column by name or by position in the
+    header.  Every column is parsed under the rules of ``_parse_columns``.
+    """
+    header, body = _read_csv(path)
     if isinstance(target, int):
         if not (0 <= target < len(header)):
             raise DataError(
@@ -88,46 +139,7 @@ def load_csv(path: str, target: str | int) -> Dataset:
         target_idx = header.index(target)
 
     n_cols = len(header)
-    kept: list[list[float]] = []
-    dropped = 0
-    bad_counts = np.zeros(n_cols, dtype=int)
-    body = [row for row in rows[1:] if row and any(cell.strip() for cell in row)]
-    for row in body:
-        if len(row) != n_cols:
-            dropped += 1
-            continue
-        parsed = []
-        ok = True
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-                if not np.isfinite(value):
-                    raise ValueError
-            except ValueError:
-                bad_counts[j] += 1
-                ok = False
-                break
-            parsed.append(value)
-        if ok:
-            kept.append(parsed)
-        else:
-            dropped += 1
-
-    if body and not kept:
-        never_parsed = [
-            header[j] for j in range(n_cols) if bad_counts[j] == len(body)
-        ]
-        if never_parsed:
-            raise DataError(
-                "non_numeric_column",
-                f"column(s) never numeric: {', '.join(never_parsed)}",
-            )
-    if not kept:
-        raise DataError("no_rows", f"{path} has no usable data rows")
-    if dropped:
-        logger.info("dropped %d row(s) with missing or bad cells", dropped)
-
-    matrix = np.asarray(kept, dtype=float)
+    matrix, dropped = _parse_columns(path, header, body, list(range(n_cols)))
     feature_cols = [j for j in range(n_cols) if j != target_idx]
     names = [header[j] for j in feature_cols] + [header[target_idx]]
     return Dataset(
@@ -136,23 +148,6 @@ def load_csv(path: str, target: str | int) -> Dataset:
         column_names=names,
         dropped_rows=dropped,
     )
-
-
-def fit_scaling(train: Dataset) -> ColumnScaling:
-    """Column ranges of the training predictors."""
-    return ColumnScaling.fit(train.X)
-
-
-def apply_scaling(scaling: ColumnScaling, X: np.ndarray) -> np.ndarray:
-    """Map predictors through a fitted scaling, clamping to [-1, 1]."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != scaling.lo.shape[0]:
-        raise DataError(
-            "bad_shape",
-            f"expected {scaling.lo.shape[0]} columns, got "
-            f"{X.shape[1] if X.ndim == 2 else 'non-matrix'}",
-        )
-    return scaling.transform(X)
 
 
 def partition(
@@ -187,18 +182,10 @@ def load_feature_matrix(
     When ``feature_names`` is given and all appear in the header, those
     columns are taken in the stored order (extra columns such as the
     original target are ignored); otherwise the file must consist of
-    exactly those predictors.
+    exactly those predictors.  Rows are dropped and counted under the same
+    rules as in ``load_csv``.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
-    except FileNotFoundError:
-        raise DataError("missing_file", f"no such file: {path}")
-    except OSError as exc:
-        raise DataError("missing_file", f"cannot read {path}: {exc}")
-    if not rows:
-        raise DataError("no_rows", f"{path} is empty")
-    header = [name.strip() for name in rows[0]]
+    header, body = _read_csv(path)
     if feature_names and all(name in header for name in feature_names):
         cols = [header.index(name) for name in feature_names]
     elif feature_names and len(header) == len(feature_names):
@@ -210,23 +197,4 @@ def load_feature_matrix(
         )
     else:
         cols = list(range(len(header)))
-
-    kept = []
-    dropped = 0
-    for row in rows[1:]:
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        try:
-            parsed = [float(row[j]) for j in cols]
-        except (ValueError, IndexError):
-            dropped += 1
-            continue
-        if all(np.isfinite(v) for v in parsed):
-            kept.append(parsed)
-        else:
-            dropped += 1
-    if not kept:
-        raise DataError("no_rows", f"{path} has no usable data rows")
-    if dropped:
-        logger.info("dropped %d prediction row(s)", dropped)
-    return np.asarray(kept, dtype=float)
+    return _parse_columns(path, header, body, cols)[0]

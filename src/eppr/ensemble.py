@@ -18,7 +18,7 @@ from .data_io import ColumnScaling
 from .errors import ConfigError, DataError, NumericError
 from .greedy import PprModel, RunData, run_greedy
 from .singleindex import ProjectionScaler, Ridge
-from .spline import make_uniform_knots
+from .spline import KnotVector, make_uniform_knots
 
 _FORMAT_TAG = "eppr-model-v1"
 
@@ -85,19 +85,7 @@ def default_config(n: int, p: int) -> FitConfig:
     q = max(q, 1)
     ell = max(1, p // q)
     J = min(max(_floor_power(n, 0.2) + 4, 6), 30)
-    return FitConfig(
-        variant="aga",
-        q=q,
-        ell=ell,
-        B=50,
-        k_max=20,
-        J=J,
-        degree=3,
-        nu=0.2,
-        stopping="bic",
-        truncation_mode="off",
-        seed=0,
-    )
+    return FitConfig(q=q, ell=ell, J=J)
 
 
 @dataclass
@@ -227,43 +215,66 @@ def to_json_text(model: EnsembleModel) -> str:
 
 
 def from_json_text(text: str) -> EnsembleModel:
-    """Rebuild a model from its serialized text."""
+    """Rebuild a model from its serialized text.
+
+    A document that does not describe a model (missing or unknown keys,
+    wrong value types, subset indices outside the stored predictor count,
+    weight and ridge counts that disagree) raises ``ConfigError``.
+    """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"not a model document: {exc}")
+        return _model_from_doc(json.loads(text))
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        raise ConfigError(f"not a model document ({detail})")
+
+
+def _ridge_from_dict(rdoc: dict, kv: KnotVector, p: int) -> Ridge:
+    subset = np.asarray(rdoc["subset"], dtype=int)
+    if np.any((subset < 0) | (subset >= p)):
+        raise ConfigError(f"ridge subset {subset.tolist()} outside 0..{p - 1}")
+    return Ridge(
+        subset=subset,
+        theta=np.asarray(rdoc["theta"], dtype=float),
+        scaler=ProjectionScaler(rdoc["scaler_lo"], rdoc["scaler_hi"]),
+        coeffs=np.asarray(rdoc["coeffs"], dtype=float),
+        knots=kv,
+    )
+
+
+def _model_from_doc(doc: dict) -> EnsembleModel:
     if doc.get("format") != _FORMAT_TAG:
         raise ConfigError(f"unrecognized model format {doc.get('format')!r}")
     config = FitConfig(**doc["config"])
     config.validate()
+    scaling = ColumnScaling(
+        lo=np.asarray(doc["feature_scaling"]["lo"], dtype=float),
+        hi=np.asarray(doc["feature_scaling"]["hi"], dtype=float),
+    )
+    p = scaling.lo.size
+    if scaling.lo.shape != (p,) or scaling.hi.shape != (p,):
+        raise ConfigError("feature scaling bounds must be equal-length lists")
     kv = make_uniform_knots(config.J, config.degree)
     members = []
     for mdoc in doc["members"]:
-        ridges = [
-            Ridge(
-                subset=np.asarray(rdoc["subset"], dtype=int),
-                theta=np.asarray(rdoc["theta"], dtype=float),
-                scaler=ProjectionScaler(rdoc["scaler_lo"], rdoc["scaler_hi"]),
-                coeffs=np.asarray(rdoc["coeffs"], dtype=float),
-                knots=kv,
+        ridges = [_ridge_from_dict(rdoc, kv, p) for rdoc in mdoc["ridges"]]
+        weights = np.asarray(mdoc["weights"], dtype=float)
+        if weights.shape != (len(ridges),):
+            raise ConfigError(
+                f"member has {weights.size} weight(s) for {len(ridges)} ridges"
             )
-            for rdoc in mdoc["ridges"]
-        ]
         members.append(
             PprModel(
                 intercept=float(mdoc["intercept"]),
                 ridges=ridges,
-                weights=np.asarray(mdoc["weights"], dtype=float),
+                weights=weights,
                 variant=mdoc["variant"],
                 k=int(mdoc["k"]),
                 bic_trace=[(int(t), float(b)) for t, b in mdoc["bic_trace"]],
                 sse_trace=[float(s) for s in mdoc["sse_trace"]],
             )
         )
-    scaling = ColumnScaling(
-        lo=np.asarray(doc["feature_scaling"]["lo"], dtype=float),
-        hi=np.asarray(doc["feature_scaling"]["hi"], dtype=float),
-    )
     truncation = doc.get("truncation")
     return EnsembleModel(
         config=config,

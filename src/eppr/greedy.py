@@ -17,9 +17,9 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .numerics import DEFAULT_DAMPING_SCALE, gram_mean_diag, solve_ridge_ls
 from .singleindex import (
-    ProjectionScaler,
     Ridge,
     SingleIndexOptions,
+    _constant_ridge,
     eval_ridge_batch,
     fit_single_index,
     ridge_design_block,
@@ -51,14 +51,6 @@ class PprModel:
     bic_trace: list[tuple[int, float]]
     sse_trace: list[float]
     objective_trace: list[float] | None = None
-
-    @property
-    def oga_scale(self) -> np.ndarray | None:
-        return self.weights if self.variant == "oga" else None
-
-    @property
-    def rga_weights(self) -> np.ndarray | None:
-        return self.weights if self.variant == "rga" else None
 
     def predict(self, X_scaled: np.ndarray) -> np.ndarray:
         out = np.full(X_scaled.shape[0], self.intercept)
@@ -150,19 +142,6 @@ def _fit_candidates(
     return best[1], best[0]
 
 
-def _zero_ridge(data: RunData, config, state: RunState) -> Ridge:
-    subset = np.arange(config.q)
-    theta = np.zeros(config.q)
-    theta[0] = 1.0
-    return Ridge(
-        subset=subset,
-        theta=theta,
-        scaler=ProjectionScaler(-1.0, 1.0),
-        coeffs=np.zeros(data.kv.basis_count),
-        knots=data.kv,
-    )
-
-
 def _record_step(state: RunState, config, data: RunData) -> None:
     tau = len(state.ridges)
     residual = state.yc - state.fitted
@@ -189,7 +168,9 @@ def greedy_step_aga(state: RunState, data: RunData, config) -> RunState:
     residuals = state.yc - state.fitted
     found = _fit_candidates(data, residuals, config, state)
     if found is None:
-        state.ridges.append(_zero_ridge(data, config, state))
+        state.ridges.append(
+            _constant_ridge(np.arange(config.q), config.q, data.kv, 0.0)
+        )
         state.design_blocks.append(
             np.zeros((data.X.shape[0], data.kv.basis_count))
         )
@@ -230,7 +211,9 @@ def greedy_step_oga(state: RunState, data: RunData, config) -> RunState:
     found = _fit_candidates(data, residuals, config, state)
     n = data.X.shape[0]
     if found is None:
-        state.ridges.append(_zero_ridge(data, config, state))
+        state.ridges.append(
+            _constant_ridge(np.arange(config.q), config.q, data.kv, 0.0)
+        )
         state.oga_columns.append(np.zeros(n))
     else:
         ridge, _ = found
@@ -263,7 +246,7 @@ def greedy_step_rga(state: RunState, data: RunData, config) -> RunState:
     residuals = state.yc - alpha * state.fitted
     found = _fit_candidates(data, residuals, config, state)
     if found is None:
-        ridge = _zero_ridge(data, config, state)
+        ridge = _constant_ridge(np.arange(config.q), config.q, data.kv, 0.0)
         values = np.zeros(data.X.shape[0])
     else:
         ridge, _ = found
@@ -335,94 +318,3 @@ def run_greedy(data: RunData, config, rng: np.random.Generator) -> PprModel:
         ),
     )
 
-
-def fit_ppr_full(
-    data: RunData, K: int, config, rng: np.random.Generator
-) -> PprModel:
-    """Plain projection pursuit: K additive terms on all predictors.
-
-    Runs the ``aga`` recipe with the full index set as the only candidate,
-    then up to five cyclic refinement passes, each re-optimizing every term
-    against the residual of the others.  A term is replaced only when the
-    refit improves it, so total SSE never increases; a pass without strict
-    improvement ends the refinement.
-    """
-    n, p = data.X.shape
-    if K < 1:
-        raise ConfigError(f"K must be >= 1, got {K}")
-    if n <= K * data.kv.basis_count + K * p:
-        raise ConfigError(
-            f"need more than K (J + p) = {K * (data.kv.basis_count + p)} samples"
-        )
-
-    full_config = replace(config, variant="aga", q=p, ell=1, k_max=K,
-                          stopping="fixed_k")
-    intercept = float(np.mean(data.y))
-    yc = data.y - intercept
-    state = RunState(rng=rng, yc=yc)
-    state.fitted = np.zeros(n)
-    subset = np.arange(p)
-    contributions: list[np.ndarray] = []
-    for _ in range(K):
-        residuals = yc - state.fitted
-        opts = SingleIndexOptions(rng=rng)
-        ridge, _ = fit_single_index(data.X, residuals, data.kv, opts,
-                                    subset=subset)
-        state.ridges.append(ridge)
-        state.design_blocks.append(ridge_design_block(ridge, data.X))
-        design = np.hstack(state.design_blocks)
-        mean_diag = gram_mean_diag(design)
-        state.min_mean_diag = (
-            mean_diag if state.min_mean_diag is None
-            else min(state.min_mean_diag, mean_diag)
-        )
-        damping = DEFAULT_DAMPING_SCALE * state.min_mean_diag
-        sol = solve_ridge_ls(design, yc, damping)
-        J = data.kv.basis_count
-        for i, r in enumerate(state.ridges):
-            state.ridges[i] = replace(r, coeffs=sol.coefficients[i * J:(i + 1) * J])
-        state.fitted = design @ sol.coefficients
-        state.objective_trace.append(
-            sol.sse + damping * float(sol.coefficients @ sol.coefficients)
-        )
-        _record_step(state, full_config, data)
-
-    contributions = [
-        eval_ridge_batch(r, data.X) for r in state.ridges
-    ]
-    # One term has nothing to cycle against: its step above already solved
-    # the full problem.
-    if K >= 2:
-        state.fitted = np.sum(contributions, axis=0)
-        for _ in range(5):
-            improved = False
-            for i in range(K):
-                partial = state.fitted - contributions[i]
-                target = yc - partial
-                old = target - contributions[i]
-                old_sse = float(old @ old)
-                opts = SingleIndexOptions(rng=rng)
-                new_ridge, new_sse = fit_single_index(
-                    data.X, target, data.kv, opts, subset=subset
-                )
-                if new_sse < old_sse:
-                    state.ridges[i] = new_ridge
-                    contributions[i] = eval_ridge_batch(new_ridge, data.X)
-                    state.fitted = partial + contributions[i]
-                    improved = True
-            if not improved:
-                break
-
-    residual = yc - state.fitted
-    sse = float(residual @ residual)
-    state.sse_trace.append(sse)
-    return PprModel(
-        intercept=intercept,
-        ridges=list(state.ridges),
-        weights=np.ones(K),
-        variant="aga",
-        k=K,
-        bic_trace=state.bic_trace,
-        sse_trace=state.sse_trace,
-        objective_trace=state.objective_trace,
-    )

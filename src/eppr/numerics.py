@@ -1,4 +1,4 @@
-"""Dense damped least squares and a sphere-constrained Gauss-Newton step."""
+"""Dense damped least squares and the damped Gauss-Newton direction solve."""
 
 from __future__ import annotations
 
@@ -88,7 +88,6 @@ def _numerically_singular(gram: np.ndarray) -> bool:
 
 
 def gauss_newton_delta(
-    theta: np.ndarray,
     residuals: np.ndarray,
     jacobian: np.ndarray,
 ) -> np.ndarray | None:
@@ -117,25 +116,3 @@ def gauss_newton_delta(
         damping *= 10.0
     return None
 
-
-def gauss_newton_sphere_step(
-    theta: np.ndarray,
-    residuals: np.ndarray,
-    jacobian: np.ndarray,
-) -> np.ndarray | None:
-    """One full Gauss-Newton step projected back onto the unit sphere.
-
-    Returns the unit vector normalize(theta + delta), or ``None`` when the
-    damped system stays singular and the caller should keep ``theta``.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if abs(float(theta @ theta) - 1.0) > 1e-8:
-        raise ValueError("theta must be a unit vector")
-    delta = gauss_newton_delta(theta, residuals, jacobian)
-    if delta is None:
-        return None
-    candidate = theta + delta
-    norm = float(np.linalg.norm(candidate))
-    if norm == 0.0 or not np.isfinite(norm):
-        return None
-    return candidate / norm

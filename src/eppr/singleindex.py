@@ -70,29 +70,16 @@ class Ridge:
             raise ConfigError("coefficient count must match the spline basis")
 
 
-def project_and_scale(ridge: Ridge, x: np.ndarray) -> float:
-    """Scaled projection of one predictor row onto the ridge direction."""
-    z = float(ridge.theta @ np.asarray(x, dtype=float)[ridge.subset])
-    return float(ridge.scaler.transform(z))
-
-
-def eval_ridge(ridge: Ridge, x: np.ndarray) -> float:
-    v = project_and_scale(ridge, x)
-    return float(ridge.coeffs @ basis_matrix(ridge.knots, np.array([v]))[0])
-
-
-def eval_ridge_batch(ridge: Ridge, X: np.ndarray) -> np.ndarray:
-    """Ridge values for every row of ``X`` (full predictor matrix)."""
-    z = X[:, ridge.subset] @ ridge.theta
-    v = np.asarray(ridge.scaler.transform(z), dtype=float)
-    return basis_matrix(ridge.knots, v) @ ridge.coeffs
-
-
 def ridge_design_block(ridge: Ridge, X: np.ndarray) -> np.ndarray:
     """Spline design matrix of the ridge's projections, one row per sample."""
     z = X[:, ridge.subset] @ ridge.theta
     v = np.asarray(ridge.scaler.transform(z), dtype=float)
     return basis_matrix(ridge.knots, v)
+
+
+def eval_ridge_batch(ridge: Ridge, X: np.ndarray) -> np.ndarray:
+    """Ridge values for every row of ``X`` (full predictor matrix)."""
+    return ridge_design_block(ridge, X) @ ridge.coeffs
 
 
 @dataclass
@@ -262,7 +249,7 @@ def _fit_from_start(
         fitted_vals = design @ coeffs
         slope_g = basis_deriv_matrix(kv, v) @ coeffs
         jacobian = (slope_g * scaler.slope)[:, None] * X_A
-        delta = gauss_newton_delta(theta, residuals - fitted_vals, jacobian)
+        delta = gauss_newton_delta(residuals - fitted_vals, jacobian)
         if delta is None:
             break
 

@@ -1,5 +1,7 @@
 """Command line interface: metrics, scenarios, subcommands, exit codes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -322,3 +324,50 @@ class TestExitCodes:
         code = main(["predict", "--model", str(tmp_path / "no.json"),
                      "--data", data, "--out", str(tmp_path / "p.csv")])
         assert code == EXIT_IO
+
+
+def _drop_theta(doc: dict) -> None:
+    del doc["members"][0]["ridges"][0]["theta"]
+
+
+def _unknown_config_field(doc: dict) -> None:
+    doc["config"]["bogus"] = 1
+
+
+def _subset_beyond_p(doc: dict) -> None:
+    # Still strictly increasing and as long as theta; only p = 9 is broken.
+    doc["members"][0]["ridges"][0]["subset"][-1] = 20
+
+
+def _extra_weight(doc: dict) -> None:
+    doc["members"][0]["weights"].append(1.0)
+
+
+def _short_scaling_bound(doc: dict) -> None:
+    doc["feature_scaling"]["hi"].pop()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_drop_theta, _unknown_config_field, _subset_beyond_p, _extra_weight,
+     _short_scaling_bound],
+)
+def test_malformed_model_is_one_line_usage_error(
+    tmp_path, capsys, mutate
+) -> None:
+    data = synth_file(tmp_path, scenario="ppr3", n=120, p=9)
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", data, "--target", "y",
+                 "--out", str(model_path), "--B", "1", "--kmax", "1",
+                 "--stopping", "fixed_k"]) == EXIT_OK
+    doc = json.loads(model_path.read_text())
+    mutate(doc)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["predict", "--model", str(model_path), "--data", data,
+                 "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -6,8 +6,6 @@ import pytest
 from eppr.data_io import (
     ColumnScaling,
     Dataset,
-    apply_scaling,
-    fit_scaling,
     load_csv,
     load_feature_matrix,
     partition,
@@ -111,8 +109,7 @@ class TestScaling:
             y=np.zeros(3),
             column_names=["a", "b", "y"],
         )
-        scaling = fit_scaling(train)
-        out = apply_scaling(scaling, train.X)
+        out = ColumnScaling.fit(train.X).transform(train.X)
         np.testing.assert_allclose(out[0], [-1.0, -1.0])
         np.testing.assert_allclose(out[1], [1.0, 1.0])
         np.testing.assert_allclose(out[2], [0.0, 0.0], atol=1e-15)
@@ -136,15 +133,8 @@ class TestScaling:
             column_names=["a", "b", "y"],
         )
         train, test = partition(data, np.random.default_rng(1))
-        scaling = fit_scaling(train)
-        out = apply_scaling(scaling, test.X)
+        out = ColumnScaling.fit(train.X).transform(test.X)
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
-
-    def test_shape_mismatch_rejected(self) -> None:
-        scaling = ColumnScaling.fit(np.zeros((3, 2)))
-        with pytest.raises(DataError) as excinfo:
-            apply_scaling(scaling, np.zeros((3, 5)))
-        assert excinfo.value.code == "bad_shape"
 
 
 def make_dataset(N: int, p: int = 2, seed: int = 0) -> Dataset:
@@ -230,3 +220,34 @@ class TestLoadFeatureMatrix:
         with pytest.raises(DataError) as excinfo:
             load_feature_matrix(str(tmp_path / "nope.csv"))
         assert excinfo.value.code == "missing_file"
+
+
+READERS = {
+    "load_csv": lambda path: load_csv(path, "y").X,
+    "load_feature_matrix": lambda path: load_feature_matrix(
+        path, feature_names=["a", "b"]
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+class TestSharedReaderRules:
+    def test_ragged_row_dropped_and_counted(
+        self, tmp_path, caplog, reader
+    ) -> None:
+        path = write_csv(
+            tmp_path / "d.csv", "a,b,y\n1,2,3\n4,5\n6,7,8,9\n10,11,12\n"
+        )
+        with caplog.at_level("INFO", logger="eppr.data_io"):
+            X = READERS[reader](path)
+        np.testing.assert_array_equal(X, [[1, 2], [10, 11]])
+        assert "dropped 2 row(s)" in caplog.text
+
+    def test_never_numeric_column_rejected(self, tmp_path, reader) -> None:
+        path = write_csv(
+            tmp_path / "d.csv", "a,b,y\n1,red,2\n3,blue,4\n5,green,6\n"
+        )
+        with pytest.raises(DataError) as excinfo:
+            READERS[reader](path)
+        assert excinfo.value.code == "non_numeric_column"
+        assert "b" in str(excinfo.value)

@@ -1,4 +1,4 @@
-"""Greedy steps, BIC stopping, and the plain projection pursuit fit."""
+"""Greedy steps and BIC stopping."""
 
 import math
 
@@ -10,12 +10,11 @@ from eppr.errors import ConfigError
 from eppr.greedy import (
     RunData,
     bic_value,
-    fit_ppr_full,
     relaxation_weight,
     run_greedy,
     select_candidate_subsets,
 )
-from eppr.singleindex import SingleIndexOptions, eval_ridge_batch, fit_single_index
+from eppr.singleindex import eval_ridge_batch
 from eppr.spline import make_uniform_knots
 
 
@@ -137,7 +136,6 @@ class TestAgaRuns:
         cfg = make_config(variant="aga", q=2, ell=1, k_max=3)
         model = run_greedy(data, cfg, np.random.default_rng(3))
         np.testing.assert_array_equal(model.weights, np.ones(3))
-        assert model.oga_scale is None and model.rga_weights is None
 
 
 class TestOgaRuns:
@@ -327,61 +325,3 @@ class TestRunGreedy:
         with pytest.raises(ConfigError, match="samples"):
             run_greedy(data, cfg, np.random.default_rng(15))
 
-
-class TestFitPprFull:
-    def test_k1_reduces_to_single_index_fit(self) -> None:
-        rng = np.random.default_rng(23)
-        X = rng.uniform(-1.0, 1.0, (250, 3))
-        y = np.sin(2.0 * X @ np.array([0.6, 0.64, 0.48])) + 1.7
-        kv = make_uniform_knots(7, 3)
-        data = RunData(X=X, y=y, kv=kv)
-        cfg = make_config(q=3, ell=1)
-        model = fit_ppr_full(data, 1, cfg, np.random.default_rng(16))
-
-        yc = y - y.mean()
-        opts = SingleIndexOptions(rng=np.random.default_rng(16))
-        ridge, _ = fit_single_index(X, yc, kv, opts)
-        direct = y.mean() + eval_ridge_batch(ridge, X)
-        np.testing.assert_allclose(model.predict(X), direct, atol=1e-10)
-
-    def test_refinement_never_increases_sse(self) -> None:
-        rng = np.random.default_rng(24)
-        X = rng.uniform(-1.0, 1.0, (300, 4))
-        y = (
-            np.sin(2.5 * X @ np.array([1.0, 0.0, 0.0, 0.0]))
-            + (X @ np.array([0.0, 0.8, 0.6, 0.0])) ** 2
-            + 0.1 * rng.standard_normal(300)
-        )
-        kv = make_uniform_knots(7, 3)
-        data = RunData(X=X, y=y, kv=kv)
-        cfg = make_config(q=4, ell=1)
-        model = fit_ppr_full(data, 2, cfg, np.random.default_rng(17))
-        # The final recorded SSE reflects the refined fit and cannot
-        # exceed the greedy-phase SSE.
-        assert model.sse_trace[-1] <= model.sse_trace[1] * (1 + 1e-9)
-        resid = y - model.predict(X)
-        np.testing.assert_allclose(
-            float(resid @ resid), model.sse_trace[-1], rtol=1e-8
-        )
-
-    def test_refinement_beats_plain_greedy(self) -> None:
-        rng = np.random.default_rng(25)
-        X = rng.uniform(-1.0, 1.0, (300, 3))
-        y = (
-            np.exp(X @ np.array([0.6, -0.8, 0.0]))
-            + np.tanh(3.0 * X @ np.array([0.0, 0.6, 0.8]))
-        )
-        kv = make_uniform_knots(7, 3)
-        data = RunData(X=X, y=y, kv=kv)
-        cfg = make_config(q=3, ell=1, k_max=2, stopping="fixed_k")
-        plain = run_greedy(data, cfg, np.random.default_rng(18))
-        refined = fit_ppr_full(data, 2, cfg, np.random.default_rng(18))
-        plain_sse = float(np.sum((y - plain.predict(X)) ** 2))
-        refined_sse = float(np.sum((y - refined.predict(X)) ** 2))
-        assert refined_sse <= plain_sse * (1 + 1e-9)
-
-    def test_sample_size_guard(self) -> None:
-        kv = make_uniform_knots(7, 3)
-        data = RunData(X=np.zeros((30, 4)), y=np.zeros(30), kv=kv)
-        with pytest.raises(ConfigError, match="samples"):
-            fit_ppr_full(data, 3, make_config(), np.random.default_rng(19))

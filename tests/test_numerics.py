@@ -1,4 +1,4 @@
-"""Damped least squares and the Gauss-Newton sphere step."""
+"""Damped least squares and the damped Gauss-Newton direction solve."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import scipy.linalg
 from eppr.errors import NumericError
 from eppr.numerics import (
     DEFAULT_DAMPING_SCALE,
-    gauss_newton_sphere_step,
+    gauss_newton_delta,
     gram_mean_diag,
     solve_ridge_ls,
 )
@@ -192,83 +192,56 @@ class TestLeanSolveMatchesReference:
         assert sol.sse == sse
 
 
-class TestGaussNewtonSphereStep:
-    def ridge_setup(self, theta: np.ndarray, seed: int = 0):
-        """A tiny spline-ridge SSE problem with analytic Jacobian."""
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(-1.0, 1.0, (80, theta.size))
-        kv = make_uniform_knots(4, 3)
-        theta_true = np.zeros(theta.size)
-        theta_true[0] = 1.0
-        scale = 1.0 / np.sqrt(theta.size)
-
-        def model(th):
-            z = X @ th
-            v = np.clip(z * scale, -1.0, 1.0)
-            return v
-
-        coeffs = np.array([0.0, 0.5, 1.0, 2.0])
-        y = basis_matrix(kv, model(theta_true)) @ coeffs
-
-        def sse_at(th):
-            fitted = basis_matrix(kv, model(th)) @ coeffs
-            r = y - fitted
-            return float(r @ r)
-
-        def parts(th):
-            v = model(th)
-            fitted = basis_matrix(kv, v) @ coeffs
-            slope = basis_deriv_matrix(kv, v) @ coeffs
-            jac = (slope * scale)[:, None] * X
-            return y - fitted, jac
-
-        return sse_at, parts
-
-    def test_zero_residuals_leave_theta_fixed(self) -> None:
-        theta = np.array([0.6, 0.8])
+class TestGaussNewtonDelta:
+    def test_zero_residuals_give_zero_step(self) -> None:
         jac = np.random.default_rng(1).standard_normal((30, 2))
-        out = gauss_newton_sphere_step(theta, np.zeros(30), jac)
-        np.testing.assert_allclose(out, theta, atol=1e-12)
+        delta = gauss_newton_delta(np.zeros(30), jac)
+        np.testing.assert_allclose(delta, np.zeros(2), atol=1e-12)
 
-    def test_returns_unit_vector(self) -> None:
+    def test_matches_damped_normal_equations(self) -> None:
         rng = np.random.default_rng(2)
-        theta = rng.standard_normal(5)
-        theta /= np.linalg.norm(theta)
-        out = gauss_newton_sphere_step(
-            theta, rng.standard_normal(40), rng.standard_normal((40, 5))
+        jac = rng.standard_normal((40, 5))
+        residuals = rng.standard_normal(40)
+        gram = jac.T @ jac
+        damping = DEFAULT_DAMPING_SCALE * float(np.mean(np.diag(gram)))
+        expected = np.linalg.solve(
+            gram + damping * np.eye(5), jac.T @ residuals
         )
-        assert abs(float(out @ out) - 1.0) < 1e-12
-
-    def test_one_dimensional_sign(self) -> None:
-        # q = 1: the step lands on +1 or -1 along the descent direction.
-        theta = np.array([1.0])
-        jac = np.ones((10, 1))
-        residuals = np.full(10, -5.0)  # fitted too high: push theta down
-        out = gauss_newton_sphere_step(theta, residuals, jac)
-        assert out[0] == -1.0
-        out_up = gauss_newton_sphere_step(theta, np.full(10, 5.0), jac)
-        assert out_up[0] == 1.0
+        np.testing.assert_allclose(
+            gauss_newton_delta(residuals, jac), expected, rtol=1e-10
+        )
 
     def test_step_reduces_sse_near_optimum(self) -> None:
-        sse_at, parts = self.ridge_setup(np.zeros(3))
+        # A spline ridge at a perturbed direction: the normalized step
+        # moves toward the true direction and lowers the SSE.
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1.0, 1.0, (80, 3))
+        kv = make_uniform_knots(4, 3)
+        coeffs = np.array([0.0, 0.5, 1.0, 2.0])
+        scale = 1.0 / np.sqrt(3.0)
         theta_true = np.array([1.0, 0.0, 0.0])
-        perturbed = np.array([0.9, 0.3, np.sqrt(1 - 0.81 - 0.09)])
-        residuals, jac = parts(perturbed)
-        stepped = gauss_newton_sphere_step(perturbed, residuals, jac)
-        assert sse_at(stepped) < sse_at(perturbed)
-        assert abs(stepped @ theta_true) > abs(perturbed @ theta_true)
 
-    def test_singular_system_signals_failure_or_stays(self) -> None:
-        # A rank-0 Jacobian gives no information; the damped solve returns
-        # a zero step rather than blowing up.
-        theta = np.array([1.0, 0.0])
-        out = gauss_newton_sphere_step(
-            theta, np.ones(10), np.zeros((10, 2))
-        )
-        assert out is None or np.allclose(out, theta)
+        def fitted(theta):
+            return basis_matrix(kv, np.clip(X @ theta * scale, -1, 1)) @ coeffs
 
-    def test_non_unit_theta_rejected(self) -> None:
-        with pytest.raises(ValueError, match="unit"):
-            gauss_newton_sphere_step(
-                np.array([2.0, 0.0]), np.zeros(5), np.zeros((5, 2))
-            )
+        def sse(theta):
+            r = fitted(theta_true) - fitted(theta)
+            return float(r @ r)
+
+        theta = np.array([0.9, 0.3, np.sqrt(1 - 0.81 - 0.09)])
+        v = np.clip(X @ theta * scale, -1, 1)
+        slope = basis_deriv_matrix(kv, v) @ coeffs
+        jac = (slope * scale)[:, None] * X
+        delta = gauss_newton_delta(fitted(theta_true) - fitted(theta), jac)
+        stepped = (theta + delta) / np.linalg.norm(theta + delta)
+        assert sse(stepped) < sse(theta)
+        assert stepped @ theta_true > theta @ theta_true
+
+    def test_rank_zero_jacobian_gives_zero_step(self) -> None:
+        delta = gauss_newton_delta(np.ones(10), np.zeros((10, 2)))
+        np.testing.assert_array_equal(delta, np.zeros(2))
+
+    def test_non_finite_jacobian_fails(self) -> None:
+        jac = np.ones((10, 2))
+        jac[3, 1] = np.inf
+        assert gauss_newton_delta(np.ones(10), jac) is None

@@ -8,10 +8,8 @@ from eppr.singleindex import (
     ProjectionScaler,
     Ridge,
     SingleIndexOptions,
-    eval_ridge,
     eval_ridge_batch,
     fit_single_index,
-    project_and_scale,
 )
 from eppr.spline import basis_matrix, make_uniform_knots
 
@@ -43,6 +41,12 @@ class TestProjectionScaler:
             ProjectionScaler(1.0, 1.0)
 
 
+def eval_one(ridge: Ridge, x: np.ndarray) -> float:
+    """The batch evaluator on a one-row matrix."""
+    row = np.asarray(x, dtype=float)[None, :]
+    return float(eval_ridge_batch(ridge, row)[0])
+
+
 class TestEvalRidge:
     def setup_method(self) -> None:
         self.kv = make_uniform_knots(6, 3)
@@ -51,24 +55,26 @@ class TestEvalRidge:
         ridge = make_ridge([0, 2], [0.6, 0.8], -1.0, 1.0,
                            np.zeros(6), self.kv)
         x = np.array([0.3, 9.0, -0.2])
-        assert eval_ridge(ridge, x) == 0.0
+        assert eval_one(ridge, x) == 0.0
 
     def test_constant_coefficients(self) -> None:
         # Partition of unity: constant coefficients give a constant ridge.
         ridge = make_ridge([0, 1], [1.0, 0.0], -2.0, 2.0,
                            np.full(6, 3.5), self.kv)
         for x0 in (-1.0, 0.0, 0.7):
-            assert eval_ridge(ridge, np.array([x0, 5.0])) == pytest.approx(3.5)
+            assert eval_one(ridge, np.array([x0, 5.0])) == pytest.approx(3.5)
 
     def test_projection_uses_subset_only(self) -> None:
         ridge = make_ridge([1], [1.0], -1.0, 1.0,
                            np.arange(6.0), self.kv)
-        a = eval_ridge(ridge, np.array([0.0, 0.4, 0.0]))
-        b = eval_ridge(ridge, np.array([77.0, 0.4, -3.0]))
+        a = eval_one(ridge, np.array([0.0, 0.4, 0.0]))
+        b = eval_one(ridge, np.array([77.0, 0.4, -3.0]))
         assert a == b
-        assert project_and_scale(
-            ridge, np.array([0.0, 0.4, 0.0])
-        ) == pytest.approx(0.4, abs=1e-15)
+        # The scaled projection of either row is 0.4.
+        assert a == pytest.approx(
+            float(basis_matrix(self.kv, np.array([0.4]))[0] @ ridge.coeffs),
+            abs=1e-14,
+        )
 
     def test_batch_matches_scalar(self) -> None:
         rng = np.random.default_rng(0)
@@ -78,7 +84,7 @@ class TestEvalRidge:
                            rng.standard_normal(6), self.kv)
         X = rng.uniform(-1.0, 1.0, (20, 5))
         batch = eval_ridge_batch(ridge, X)
-        scalar = np.array([eval_ridge(ridge, row) for row in X])
+        scalar = np.array([eval_one(ridge, row) for row in X])
         np.testing.assert_allclose(batch, scalar, atol=1e-12)
 
     def test_sine_ridge_against_lstsq_oracle(self) -> None:
