@@ -9,6 +9,7 @@ byte-identical reports.  Timing is logged to stderr instead.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -315,7 +316,8 @@ def run_benchmark(
     Each repeat draws its own partition and fit seed from (seed, repeat
     index); the fit uses data-driven defaults unless ``overrides`` pins
     specific fields.  Metric failures are recorded per repeat rather than
-    aborting the run.
+    aborting the run.  ``workers`` is passed to ``ensemble.fit``, which
+    accepts it without effect and fits the members in-process.
     """
     if task not in ("regression", "classification"):
         raise ConfigError("task must be regression or classification")
@@ -538,7 +540,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrNotes(logging.Handler):
+    """Prints eppr's log records, such as dropped CSV rows, to stderr.
+
+    ``sys.stderr`` is looked up per record, so output follows redirection.
+    """
+
+    def emit(self, record: logging.LogRecord) -> None:
+        print(f"note: {record.getMessage()}", file=sys.stderr)
+
+
+def _route_log_to_stderr() -> None:
+    """Install the stderr handler on the ``eppr`` logger once per process."""
+    log = logging.getLogger("eppr")
+    if not any(isinstance(h, _StderrNotes) for h in log.handlers):
+        log.addHandler(_StderrNotes())
+        log.setLevel(logging.INFO)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _route_log_to_stderr()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -136,7 +135,13 @@ def fit(
     workers: int = 1,
     column_names: list[str] | None = None,
 ) -> EnsembleModel:
-    """Fit B independent greedy runs and wrap them as one model."""
+    """Fit B independent greedy runs and wrap them as one model.
+
+    Members are fitted in index order on the calling thread.  ``workers``
+    is accepted and has no effect: a member fit is Python-bound under the
+    interpreter lock, so a thread pool ran slower than this loop, and a
+    process pool adds a whole child interpreter to peak memory.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -150,15 +155,10 @@ def fit(
     kv = make_uniform_knots(config.J, config.degree)
     data = RunData(X=Xs, y=y, kv=kv)
 
-    def run_member(b: int) -> PprModel:
-        rng = np.random.default_rng([config.seed, b])
-        return run_greedy(data, config, rng)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            members = list(pool.map(run_member, range(config.B)))
-    else:
-        members = [run_member(b) for b in range(config.B)]
+    members = [
+        run_greedy(data, config, np.random.default_rng([config.seed, b]))
+        for b in range(config.B)
+    ]
 
     truncation = None
     if config.truncation_mode == "ln_n":
@@ -218,8 +218,9 @@ def from_json_text(text: str) -> EnsembleModel:
     """Rebuild a model from its serialized text.
 
     A document that does not describe a model (missing or unknown keys,
-    wrong value types, subset indices outside the stored predictor count,
-    weight and ridge counts that disagree) raises ``ConfigError``.
+    wrong value types, no members, subset indices outside the stored
+    predictor count, weight count or ``k`` that disagrees with the ridge
+    count) raises ``ConfigError``.
     """
     try:
         return _model_from_doc(json.loads(text))
@@ -256,6 +257,8 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
     if scaling.lo.shape != (p,) or scaling.hi.shape != (p,):
         raise ConfigError("feature scaling bounds must be equal-length lists")
     kv = make_uniform_knots(config.J, config.degree)
+    if not doc["members"]:
+        raise ConfigError("model has no members")
     members = []
     for mdoc in doc["members"]:
         ridges = [_ridge_from_dict(rdoc, kv, p) for rdoc in mdoc["ridges"]]
@@ -263,6 +266,10 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
         if weights.shape != (len(ridges),):
             raise ConfigError(
                 f"member has {weights.size} weight(s) for {len(ridges)} ridges"
+            )
+        if int(mdoc["k"]) != len(ridges):
+            raise ConfigError(
+                f"member has k={mdoc['k']} for {len(ridges)} ridges"
             )
         members.append(
             PprModel(

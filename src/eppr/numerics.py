@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericError
 
@@ -19,8 +19,11 @@ _MAX_ESCALATIONS = 6
 
 @dataclass
 class LsSolution:
+    """Fitted coefficients, their SSE and residual target - design b."""
+
     coefficients: np.ndarray
     sse: float
+    residual: np.ndarray
 
 
 def gram_mean_diag(design: np.ndarray) -> float:
@@ -58,19 +61,11 @@ def solve_ridge_ls(
     if damping is None:
         damping = DEFAULT_DAMPING_SCALE * float(np.mean(np.diag(gram)))
 
-    m = gram.shape[0]
     beta = None
     if damping > 0.0 or not _numerically_singular(gram):
-        system = gram + damping * np.eye(m)
-        try:
-            # design and target are checked finite above; a non-finite
-            # solution is caught below.
-            factor = scipy.linalg.cho_factor(
-                system, lower=True, check_finite=False
-            )
-            beta = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            pass
+        # design and target are checked finite above; a non-finite
+        # solution is caught below.
+        beta = _cholesky_solve(gram + damping * np.eye(gram.shape[0]), rhs)
     if beta is None:
         # Undamped singular system or failed factorization: take the
         # minimum-norm solution.
@@ -78,7 +73,25 @@ def solve_ridge_ls(
     if not np.all(np.isfinite(beta)):
         raise NumericError("least-squares solve produced non-finite values")
     residual = target - design @ beta
-    return LsSolution(coefficients=beta, sse=float(residual @ residual))
+    return LsSolution(
+        coefficients=beta, sse=float(residual @ residual), residual=residual
+    )
+
+
+def _cholesky_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve ``system x = rhs`` for a symmetric positive definite system.
+
+    Calls LAPACK's dpotrf/dpotrs on the lower triangle: the routines that
+    scipy.linalg's Cholesky factor-and-solve helpers call, without their
+    per-call argument checks, so the results are bit-identical to theirs.
+    Returns ``None`` where those helpers raise ``LinAlgError``, that is
+    when the system is not numerically positive definite.
+    """
+    factor, info = dpotrf(system, lower=1, clean=0)
+    if info != 0:
+        return None
+    solution, info = dpotrs(factor, rhs, lower=1)
+    return solution if info == 0 else None
 
 
 def _numerically_singular(gram: np.ndarray) -> bool:
@@ -104,15 +117,8 @@ def gauss_newton_delta(
     q = gram.shape[0]
     damping = DEFAULT_DAMPING_SCALE * max(float(np.mean(np.diag(gram))), 1e-12)
     for _ in range(_MAX_ESCALATIONS + 1):
-        try:
-            factor = scipy.linalg.cho_factor(
-                gram + damping * np.eye(q), lower=True, check_finite=False
-            )
-            delta = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-            if np.all(np.isfinite(delta)):
-                return delta
-        except scipy.linalg.LinAlgError:
-            pass
+        delta = _cholesky_solve(gram + damping * np.eye(q), rhs)
+        if delta is not None and np.all(np.isfinite(delta)):
+            return delta
         damping *= 10.0
     return None
-

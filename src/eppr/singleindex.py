@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import gauss_newton_delta, solve_ridge_ls
+from .numerics import LsSolution, gauss_newton_delta, solve_ridge_ls
 from .spline import KnotVector, basis_deriv_matrix, basis_matrix
 
 # Projection ranges narrower than this collapse the ridge to a constant.
@@ -91,7 +91,6 @@ class SingleIndexOptions:
     max_alternations: int = 20
     rel_tol: float = 1e-6
     max_halvings: int = 10
-    trace_sink: list | None = None
 
 
 def _unit(vec: np.ndarray) -> np.ndarray | None:
@@ -125,8 +124,8 @@ def _solve_at_theta(
     residuals: np.ndarray,
     kv: KnotVector,
     theta: np.ndarray,
-):
-    """Scaler, design, coefficients, and SSE for a fixed direction.
+) -> tuple[ProjectionScaler, np.ndarray, LsSolution] | None:
+    """Scaler, scaled projections and spline fit for a fixed direction.
 
     Returns ``None`` when the projections are too narrow to scale.
     """
@@ -137,9 +136,7 @@ def _solve_at_theta(
         return None
     scaler = ProjectionScaler(lo, hi)
     v = np.asarray(scaler.transform(z), dtype=float)
-    design = basis_matrix(kv, v)
-    sol = solve_ridge_ls(design, residuals)
-    return scaler, v, design, sol.coefficients, sol.sse
+    return scaler, v, solve_ridge_ls(basis_matrix(kv, v), residuals)
 
 
 def _flip_to_sign_convention(ridge: Ridge) -> Ridge:
@@ -242,18 +239,16 @@ def _fit_from_start(
         return float(centered @ centered), _constant_ridge(
             subset, X_A.shape[1], kv, value
         )
-    scaler, v, design, coeffs, sse = state
-    trace = [sse]
+    scaler, v, sol = state
 
     for _ in range(opts.max_alternations):
-        fitted_vals = design @ coeffs
-        slope_g = basis_deriv_matrix(kv, v) @ coeffs
+        slope_g = basis_deriv_matrix(kv, v) @ sol.coefficients
         jacobian = (slope_g * scaler.slope)[:, None] * X_A
-        delta = gauss_newton_delta(residuals - fitted_vals, jacobian)
+        delta = gauss_newton_delta(sol.residual, jacobian)
         if delta is None:
             break
 
-        accepted = False
+        prev_sse = sol.sse
         step = delta
         for _ in range(opts.max_halvings + 1):
             cand_theta = _unit(theta + step)
@@ -263,22 +258,18 @@ def _fit_from_start(
             cand_state = _solve_at_theta(X_A, residuals, kv, cand_theta)
             if cand_state is None:
                 continue
-            if cand_state[4] < sse:
+            if cand_state[2].sse < prev_sse:
                 theta = cand_theta
-                scaler, v, design, coeffs, new_sse = cand_state
-                accepted = True
+                scaler, v, sol = cand_state
                 break
-        if not accepted:
+        else:
+            # Step-halving exhausted without lowering the SSE.
             break
-        prev_sse = sse
-        sse = new_sse
-        trace.append(sse)
-        if prev_sse - sse < opts.rel_tol * max(prev_sse, 1e-30):
+        if prev_sse - sol.sse < opts.rel_tol * max(prev_sse, 1e-30):
             break
 
-    if opts.trace_sink is not None:
-        opts.trace_sink.append(trace)
     ridge = Ridge(
-        subset=subset, theta=theta, scaler=scaler, coeffs=coeffs, knots=kv
+        subset=subset, theta=theta, scaler=scaler, coeffs=sol.coefficients,
+        knots=kv,
     )
-    return sse, ridge
+    return sol.sse, ridge

@@ -219,6 +219,28 @@ class TestTrainPredict:
         ])
         np.testing.assert_array_equal(got, expected)
 
+    def test_predict_reports_dropped_rows(self, tmp_path, capsys) -> None:
+        data = synth_file(tmp_path)
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", data, "--target", "y",
+              "--out", str(model_path), "--B", "1", "--kmax", "1",
+              "--stopping", "fixed_k"])
+        lines = (tmp_path / "single_index.csv").read_text().splitlines()
+        rows = tmp_path / "rows.csv"
+        short = ",".join(lines[3].split(",")[:-2])
+        rows.write_text("\n".join(lines[:3] + [short] + lines[4:5]) + "\n")
+        capsys.readouterr()
+        pred_path = tmp_path / "pred.csv"
+        code = main(["predict", "--model", str(model_path),
+                     "--data", str(rows), "--out", str(pred_path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK
+        assert "3 prediction(s) written" in out
+        assert len(pred_path.read_text().splitlines()) == 4
+        assert err.splitlines() == [
+            f"note: dropped 1 row(s) of {rows} with missing or bad cells"
+        ]
+
     def test_target_by_position(self, tmp_path) -> None:
         data = synth_file(tmp_path, p=2)
         model_path = tmp_path / "model.json"
@@ -347,10 +369,18 @@ def _short_scaling_bound(doc: dict) -> None:
     doc["feature_scaling"]["hi"].pop()
 
 
+def _no_members(doc: dict) -> None:
+    doc["members"] = []
+
+
+def _k_exceeds_ridges(doc: dict) -> None:
+    doc["members"][0]["k"] = 7
+
+
 @pytest.mark.parametrize(
     "mutate",
     [_drop_theta, _unknown_config_field, _subset_beyond_p, _extra_weight,
-     _short_scaling_bound],
+     _short_scaling_bound, _no_members, _k_exceeds_ridges],
 )
 def test_malformed_model_is_one_line_usage_error(
     tmp_path, capsys, mutate

@@ -1,10 +1,12 @@
 """Ensemble fitting, averaging identities, truncation, and serialization."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from eppr import ensemble
 from eppr.data_io import ColumnScaling
 from eppr.ensemble import (
     EnsembleModel,
@@ -226,6 +228,21 @@ class TestDeterminism:
         assert (
             serial.predict(X).tobytes() == threaded.predict(X).tobytes()
         )
+
+    def test_members_fit_on_the_calling_thread(self, monkeypatch) -> None:
+        # A member fit is Python-bound under the interpreter lock; a pool
+        # measured slower than this serial loop.
+        threads: list[int] = []
+        real = ensemble.run_greedy
+
+        def recording_run_greedy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "run_greedy", recording_run_greedy)
+        X, y = training_data(seed=6)
+        fit(X, y, small_config(B=6), workers=3)
+        assert threads == [threading.get_ident()] * 6
 
     def test_seed_changes_the_model(self) -> None:
         X, y = training_data(seed=8)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from eppr import numerics
 from eppr.errors import NumericError
 from eppr.numerics import (
     DEFAULT_DAMPING_SCALE,
@@ -119,6 +120,28 @@ def reference_solve_ridge_ls(design, target, damping=None):
     return beta, float(residual @ residual), rank_deficient
 
 
+def reference_gauss_newton_delta(residuals, jacobian):
+    """The direction solve before it called LAPACK directly."""
+    gram = jacobian.T @ jacobian
+    rhs = jacobian.T @ residuals
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+        return None
+    q = gram.shape[0]
+    damping = DEFAULT_DAMPING_SCALE * max(float(np.mean(np.diag(gram))), 1e-12)
+    for _ in range(7):
+        try:
+            factor = scipy.linalg.cho_factor(
+                gram + damping * np.eye(q), lower=True, check_finite=False
+            )
+            delta = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            if np.all(np.isfinite(delta)):
+                return delta
+        except scipy.linalg.LinAlgError:
+            pass
+        damping *= 10.0
+    return None
+
+
 def random_design(rng):
     return rng.standard_normal((60, 8))
 
@@ -192,6 +215,18 @@ class TestLeanSolveMatchesReference:
         assert sol.sse == sse
 
 
+    @pytest.mark.parametrize("make_jacobian", [
+        random_design, duplicated_column_design, ill_conditioned_design,
+        lambda rng: np.zeros((60, 3)),
+    ], ids=["random", "duplicated_column", "ill_conditioned", "all_zero"])
+    def test_gauss_newton_bit_identical(self, make_jacobian) -> None:
+        rng = np.random.default_rng(10)
+        jacobian = make_jacobian(rng)
+        residuals = rng.standard_normal(jacobian.shape[0])
+        expected = reference_gauss_newton_delta(residuals, jacobian)
+        assert np.array_equal(gauss_newton_delta(residuals, jacobian), expected)
+
+
 class TestGaussNewtonDelta:
     def test_zero_residuals_give_zero_step(self) -> None:
         jac = np.random.default_rng(1).standard_normal((30, 2))
@@ -245,3 +280,53 @@ class TestGaussNewtonDelta:
         jac = np.ones((10, 2))
         jac[3, 1] = np.inf
         assert gauss_newton_delta(np.ones(10), jac) is None
+
+
+class TestFailedFactorization:
+    """A non-zero LAPACK info takes each solve's fallback."""
+
+    @staticmethod
+    def fail_first(monkeypatch, failures: int) -> list:
+        systems: list = []
+        real = numerics.dpotrf
+
+        def dpotrf(system, **kwargs):
+            systems.append(system.copy())
+            if len(systems) <= failures:
+                return system, 1
+            return real(system, **kwargs)
+
+        monkeypatch.setattr(numerics, "dpotrf", dpotrf)
+        return systems
+
+    def test_ridge_ls_takes_lstsq(self, monkeypatch) -> None:
+        rng = np.random.default_rng(11)
+        design = random_design(rng)
+        target = rng.standard_normal(design.shape[0])
+        systems = self.fail_first(monkeypatch, 1)
+        sol = solve_ridge_ls(design, target)
+        assert len(systems) == 1
+        lstsq = np.linalg.lstsq(design, target, rcond=None)[0]
+        assert np.array_equal(sol.coefficients, lstsq)
+
+    def test_gauss_newton_escalates_damping_tenfold(self, monkeypatch) -> None:
+        rng = np.random.default_rng(12)
+        jac = rng.standard_normal((40, 4))
+        residuals = rng.standard_normal(40)
+        systems = self.fail_first(monkeypatch, 2)
+        delta = gauss_newton_delta(residuals, jac)
+        assert len(systems) == 3
+        gram = jac.T @ jac
+        dampings = [float(np.mean(np.diag(s - gram))) for s in systems]
+        assert dampings[1] == pytest.approx(10.0 * dampings[0])
+        assert dampings[2] == pytest.approx(100.0 * dampings[0])
+        np.testing.assert_allclose(
+            delta, np.linalg.solve(systems[-1], jac.T @ residuals), rtol=1e-10
+        )
+
+    def test_gauss_newton_fails_after_last_escalation(self, monkeypatch) -> None:
+        rng = np.random.default_rng(13)
+        jac = rng.standard_normal((40, 4))
+        systems = self.fail_first(monkeypatch, 100)
+        assert gauss_newton_delta(rng.standard_normal(40), jac) is None
+        assert len(systems) == 7

@@ -181,18 +181,6 @@ class TestFitSingleIndex:
             fixed = solve_ridge_ls(basis_matrix(self.kv, v), y)
             assert sse <= fixed.sse + 1e-10
 
-    def test_trace_is_monotone(self) -> None:
-        rng = np.random.default_rng(8)
-        X = rng.uniform(-1.0, 1.0, (200, 4))
-        y = np.sin(3.0 * X[:, 1]) + 0.1 * rng.standard_normal(200)
-        sink: list = []
-        opts = self.opts(9)
-        opts.trace_sink = sink
-        fit_single_index(X, y, self.kv, opts)
-        assert sink, "expected per-start traces"
-        for trace in sink:
-            assert all(b <= a for a, b in zip(trace, trace[1:]))
-
     def test_sign_convention(self) -> None:
         rng = np.random.default_rng(10)
         X = rng.uniform(-1.0, 1.0, (150, 5))
