@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -75,8 +77,8 @@ def generate_scenario(
         raise ConfigError(f"unknown scenario {scenario!r}; pick from {SCENARIOS}")
     if n < 1 or p < 1:
         raise ConfigError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-    if noise < 0.0:
-        raise ConfigError(f"noise must be >= 0, got {noise}")
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ConfigError(f"noise must be a finite number >= 0, got {noise}")
 
     if scenario == "single_index":
         theta = rng.standard_normal(p)
@@ -424,6 +426,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    # Checked before the fit, which can take minutes, rather than at save.
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise DataError("missing_file", f"no such directory: {out_dir}")
     dataset = _resolve_target(args.data, args.target)
     n, p = dataset.X.shape
     config = replace(
@@ -569,6 +575,10 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, DataError):
             return EXIT_IO
         return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_NUMERIC
+    except OSError as exc:  # inputs fail as DataError, so this is output
+        print(f"error: cannot write {exc.filename or 'output'}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -15,6 +18,10 @@ logger = logging.getLogger(__name__)
 
 # Training rows are capped so large files keep a large held-out share.
 _TRAIN_CAP = 1000
+
+# Separators that numpy's parser strips around a number as whitespace and
+# float() does not; a body holding one goes to the per-row rules.
+_FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -111,10 +118,72 @@ def _parse_columns(
                 f"column(s) never numeric: {', '.join(never_numeric)}",
             )
         raise DataError("no_rows", f"{path} has no usable data rows")
+    _note_dropped(path, dropped)
+    return matrix, dropped
+
+
+def _note_dropped(path: str, dropped: int) -> None:
     if dropped:
         logger.info("dropped %d row(s) of %s with missing or bad cells",
                     dropped, path)
-    return matrix, dropped
+
+
+def _read_block(path: str) -> tuple[list[str], np.ndarray] | None:
+    """Stripped header and whole float body, parsed by numpy in one pass.
+
+    Returns ``None`` when the per-row rules must decide instead: the file
+    cannot be read or is empty, numpy's parser rejects the body (a ragged
+    row, a cell only ``float()`` accepts, a non-numeric cell, no data) or
+    the body width differs from the header's.  On every body numpy
+    accepts, its values and row count equal the per-row reader's.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            body = handle.read()
+    except (OSError, ValueError, csv.Error):
+        return None
+    if header is None or any(ch in body for ch in _FLOAT_REJECTS):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "no data"
+            block = np.loadtxt(io.StringIO(body), delimiter=",",
+                               comments=None, quotechar='"', ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if block.shape[1] != len(header):
+        return None
+    return [name.strip() for name in header], block
+
+
+def _load_columns(
+    path: str, choose: Callable[[list[str]], list[int]]
+) -> tuple[list[str], np.ndarray, int]:
+    """Header, the float matrix of the chosen columns and the dropped count.
+
+    ``choose`` maps the header to the column indices to keep.  A body that
+    numpy parses whole is filtered here, a row dropped when one of its
+    chosen cells is not finite; any other file, and a block without a
+    finite row, goes through ``_read_csv`` and ``_parse_columns``, which
+    define the rules and every error.
+    """
+    parsed = _read_block(path)
+    if parsed is not None:
+        header, block = parsed
+        cols = choose(header)
+        matrix = block[:, cols]
+        finite = np.isfinite(matrix).all(axis=1)
+        if finite.any():
+            if not finite.all():
+                matrix = matrix[finite]
+            dropped = block.shape[0] - matrix.shape[0]
+            _note_dropped(path, dropped)
+            return header, matrix, dropped
+    header, body = _read_csv(path)
+    matrix, dropped = _parse_columns(path, header, body, choose(header))
+    return header, matrix, dropped
 
 
 def load_csv(path: str, target: str | int) -> Dataset:
@@ -123,23 +192,23 @@ def load_csv(path: str, target: str | int) -> Dataset:
     ``target`` selects the response column by name or by position in the
     header.  Every column is parsed under the rules of ``_parse_columns``.
     """
-    header, body = _read_csv(path)
-    if isinstance(target, int):
-        if not (0 <= target < len(header)):
-            raise DataError(
-                "missing_target",
-                f"target index {target} outside 0..{len(header) - 1}",
-            )
-        target_idx = target
-    else:
-        if target not in header:
+
+    def every_column(header: list[str]) -> list[int]:
+        if isinstance(target, int):
+            if not (0 <= target < len(header)):
+                raise DataError(
+                    "missing_target",
+                    f"target index {target} outside 0..{len(header) - 1}",
+                )
+        elif target not in header:
             raise DataError(
                 "missing_target", f"target column {target!r} not in header"
             )
-        target_idx = header.index(target)
+        return list(range(len(header)))
 
+    header, matrix, dropped = _load_columns(path, every_column)
+    target_idx = target if isinstance(target, int) else header.index(target)
     n_cols = len(header)
-    matrix, dropped = _parse_columns(path, header, body, list(range(n_cols)))
     feature_cols = [j for j in range(n_cols) if j != target_idx]
     names = [header[j] for j in feature_cols] + [header[target_idx]]
     return Dataset(
@@ -185,16 +254,15 @@ def load_feature_matrix(
     exactly those predictors.  Rows are dropped and counted under the same
     rules as in ``load_csv``.
     """
-    header, body = _read_csv(path)
-    if feature_names and all(name in header for name in feature_names):
-        cols = [header.index(name) for name in feature_names]
-    elif feature_names and len(header) == len(feature_names):
-        cols = list(range(len(header)))
-    elif feature_names:
-        raise DataError(
-            "missing_target",
-            "prediction file lacks the model's feature columns",
-        )
-    else:
-        cols = list(range(len(header)))
-    return _parse_columns(path, header, body, cols)[0]
+
+    def feature_columns(header: list[str]) -> list[int]:
+        if feature_names and all(name in header for name in feature_names):
+            return [header.index(name) for name in feature_names]
+        if feature_names and len(header) != len(feature_names):
+            raise DataError(
+                "missing_target",
+                "prediction file lacks the model's feature columns",
+            )
+        return list(range(len(header)))
+
+    return _load_columns(path, feature_columns)[1]

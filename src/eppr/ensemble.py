@@ -65,8 +65,10 @@ class FitConfig:
             raise ConfigError(
                 f"J must be at least degree + 1, got J={self.J}"
             )
-        if self.nu < 0.0:
-            raise ConfigError(f"nu must be >= 0, got {self.nu}")
+        if not (math.isfinite(self.nu) and self.nu >= 0.0):
+            raise ConfigError(
+                f"nu must be a finite number >= 0, got {self.nu}"
+            )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -218,17 +220,29 @@ def from_json_text(text: str) -> EnsembleModel:
     """Rebuild a model from its serialized text.
 
     A document that does not describe a model (missing or unknown keys,
-    wrong value types, no members, subset indices outside the stored
-    predictor count, weight count or ``k`` that disagrees with the ridge
-    count) raises ``ConfigError``.
+    wrong value types, a number that is not finite or overflows, no
+    members, subset indices outside the stored predictor count, weight
+    count or ``k`` that disagrees with the ridge count) raises
+    ``ConfigError``.
     """
     try:
-        return _model_from_doc(json.loads(text))
+        doc = json.loads(text, parse_float=_finite_float,
+                         parse_constant=_finite_float)
+        return _model_from_doc(doc)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         detail = " ".join(f"{type(exc).__name__}: {exc}".split())
         raise ConfigError(f"not a model document ({detail})")
+
+
+def _finite_float(literal: str) -> float:
+    """A JSON number or NaN/Infinity literal, refused unless finite."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {literal} in model document")
+    return value
 
 
 def _ridge_from_dict(rdoc: dict, kv: KnotVector, p: int) -> Ridge:

@@ -114,6 +114,11 @@ class TestGenerateScenario:
         with pytest.raises(ConfigError):
             generate_scenario("ppr3", 10, 4, 0.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1.0])
+    def test_noise_must_be_finite_and_non_negative(self, noise) -> None:
+        with pytest.raises(ConfigError):
+            generate_scenario("ppr3", 10, 9, noise, np.random.default_rng(0))
+
 
 class TestSynthCommand:
     def test_writes_csv_and_sidecar(self, tmp_path, capsys) -> None:
@@ -348,6 +353,57 @@ class TestExitCodes:
         assert code == EXIT_IO
 
 
+def _one_error_line(err: str) -> bool:
+    lines = err.strip().splitlines()
+    return (
+        "Traceback" not in err and len(lines) == 1
+        and lines[0].startswith("error:")
+    )
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+def test_non_finite_flag_is_usage_error(tmp_path, capsys, command) -> None:
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--data", synth_file(tmp_path), "--target", "y",
+                "--out", str(out), "--nu", "nan"]
+    else:
+        argv = ["synth", "--scenario", "ppr3", "--n", "10", "--p", "9",
+                "--noise", "nan", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert _one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "synth"])
+def test_out_in_missing_directory_is_file_error(
+    tmp_path, capsys, monkeypatch, command
+) -> None:
+    data = synth_file(tmp_path)
+    out = str(tmp_path / "absent" / "out")
+    if command == "train":
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking --out")
+
+        monkeypatch.setattr("eppr.ensemble.fit", no_fit)
+        argv = ["train", "--data", data, "--target", "y", "--out", out]
+    elif command == "predict":
+        model_path = str(tmp_path / "model.json")
+        assert main(["train", "--data", data, "--target", "y",
+                     "--out", model_path, "--B", "1", "--kmax", "1",
+                     "--stopping", "fixed_k"]) == EXIT_OK
+        argv = ["predict", "--model", model_path, "--data", data,
+                "--out", out]
+    else:
+        argv = ["synth", "--scenario", "ppr3", "--n", "10", "--p", "9",
+                "--out", out]
+    capsys.readouterr()
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "absent" in err
+
+
 def _drop_theta(doc: dict) -> None:
     del doc["members"][0]["ridges"][0]["theta"]
 
@@ -377,10 +433,36 @@ def _k_exceeds_ridges(doc: dict) -> None:
     doc["members"][0]["k"] = 7
 
 
+def _nan_theta(doc: dict) -> None:
+    doc["members"][0]["ridges"][0]["theta"][0] = float("nan")  # NaN
+
+
+def _infinite_coeff(doc: dict) -> None:
+    doc["members"][0]["ridges"][0]["coeffs"][0] = float("inf")  # Infinity
+
+
+def _minus_infinite_scaling(doc: dict) -> None:
+    doc["feature_scaling"]["lo"][0] = -float("inf")  # -Infinity
+
+
+def _overflowing_weight(doc: dict) -> None:
+    doc["members"][0]["weights"][0] = OVERFLOW
+
+
+def _overflowing_int_intercept(doc: dict) -> None:
+    doc["members"][0]["intercept"] = 10 ** 400
+
+
+# Written unquoted, as a literal json.dumps cannot produce from a float.
+OVERFLOW = "1e999"
+
+
 @pytest.mark.parametrize(
     "mutate",
     [_drop_theta, _unknown_config_field, _subset_beyond_p, _extra_weight,
-     _short_scaling_bound, _no_members, _k_exceeds_ridges],
+     _short_scaling_bound, _no_members, _k_exceeds_ridges, _nan_theta,
+     _infinite_coeff, _minus_infinite_scaling, _overflowing_weight,
+     _overflowing_int_intercept],
 )
 def test_malformed_model_is_one_line_usage_error(
     tmp_path, capsys, mutate
@@ -392,12 +474,10 @@ def test_malformed_model_is_one_line_usage_error(
                  "--stopping", "fixed_k"]) == EXIT_OK
     doc = json.loads(model_path.read_text())
     mutate(doc)
-    model_path.write_text(json.dumps(doc))
+    model_path.write_text(json.dumps(doc).replace(f'"{OVERFLOW}"', OVERFLOW))
     capsys.readouterr()
     code = main(["predict", "--model", str(model_path), "--data", data,
                  "--out", str(tmp_path / "p.csv")])
-    err = capsys.readouterr().err
     assert code == EXIT_USAGE
-    assert "Traceback" not in err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert _one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "p.csv").exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eppr import data_io
 from eppr.data_io import (
     ColumnScaling,
     Dataset,
@@ -251,3 +252,102 @@ class TestSharedReaderRules:
             READERS[reader](path)
         assert excinfo.value.code == "non_numeric_column"
         assert "b" in str(excinfo.value)
+
+
+# Each text runs through the public readers and through the per-row rules
+# (``_read_csv`` + ``_parse_columns``), which are the reference: the block
+# parse must not change a matrix, a count, a note or an error.  Headers end
+# in the target ``y``, so ``load_csv``'s X and y side by side are the
+# reference matrix over every column.
+READER_CORPUS = {
+    "clean": "a,b,y\n1,2,3\n4,5,6\n7,8,9\n",
+    "crlf": "a,b,y\r\n1,2,3\r\n4,5,6\r\n",
+    "spaces_and_tabs": "a,b,y\n 1,2\t,3\n\t4 , 5,6 \n7,8,9\n",
+    "quoted": 'a,b,y\n"1",2,3\n"2" ,5,6\n"7\n",8,9\n',
+    "quoted_rejected": 'a,b,y\n1,2,3\n "2",5,6\n"1,5",8,9\n10,11,12\n',
+    "nan_inf": "a,b,y\n1,2,3\nnan,5,6\n7,inf,9\n-inf,1,1\n10,11,12\n",
+    "python_only_numbers": "a,b,y\n1_0,2,3\n\u0664,5,6\n7,8,9\n",
+    "separator_char": "a,b,y\n1\x1c,2,3\n4,5,6\n",
+    "ragged": "a,b,y\n1,2,3\n4,5\n6,7,8,9\n10,11,12\n",
+    "blank_lines": "a,b,y\n1,2,3\n\n4,5,6\n\n",
+    "whitespace_lines": "a,b,y\n1,2,3\n   \n\t\n4,5,6\n",
+    "unselected_text": "a,b,note,y\n1,2,red,3\n4,5,blue,6\n",
+    "all_nan_column": "a,b,y\n1,nan,3\n4,nan,6\n",
+    "header_only": "a,b,y\n",
+    "header_spans_lines": '"a\nx",b,y\n1,2,3\n',
+}
+
+
+def _csv_block(path):
+    data = load_csv(path, "y")
+    return np.column_stack([data.X, data.y]), data.dropped_rows
+
+
+def _feature_cols(header):
+    if "a" in header and "b" in header:
+        return [header.index("a"), header.index("b")]
+    raise DataError(
+        "missing_target", "prediction file lacks the model's feature columns"
+    )
+
+
+# reader name -> (public read giving (matrix, dropped count or None),
+#                 the columns it chooses from a header)
+CORPUS_READERS = {
+    "load_csv": (_csv_block, lambda header: list(range(len(header)))),
+    "load_feature_matrix": (
+        lambda path: (load_feature_matrix(path, ["a", "b"]), None),
+        _feature_cols,
+    ),
+}
+
+
+def _outcome(read, caplog):
+    """(result, notes, error code and text) of one read."""
+    caplog.clear()
+    with caplog.at_level("INFO", logger="eppr.data_io"):
+        try:
+            result, error = read(), None
+        except DataError as exc:
+            result, error = None, (exc.code, str(exc))
+    return result, [r.getMessage() for r in caplog.records], error
+
+
+def _per_row(path, choose):
+    header, body = data_io._read_csv(path)
+    return data_io._parse_columns(path, header, body, choose(header))
+
+
+@pytest.mark.parametrize("reader", sorted(CORPUS_READERS))
+@pytest.mark.parametrize("case", sorted(READER_CORPUS))
+def test_block_parse_matches_per_row_rules(
+    tmp_path, caplog, reader, case
+) -> None:
+    path = write_csv(tmp_path / "d.csv", READER_CORPUS[case])
+    read, choose = CORPUS_READERS[reader]
+    got, got_notes, got_error = _outcome(lambda: read(path), caplog)
+    ref, ref_notes, ref_error = _outcome(
+        lambda: _per_row(path, choose), caplog
+    )
+    assert got_error == ref_error
+    assert got_notes == ref_notes
+    if ref is not None:
+        (matrix, dropped), (ref_matrix, ref_dropped) = got, ref
+        assert matrix.dtype == ref_matrix.dtype
+        assert np.array_equal(matrix, ref_matrix)
+        assert dropped in (None, ref_dropped)
+
+
+def test_clean_file_skips_per_row_rules(tmp_path, monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("per-row reader called on a clean file")
+
+    monkeypatch.setattr(data_io, "_read_csv", refuse)
+    monkeypatch.setattr(data_io, "_parse_columns", refuse)
+    path = write_csv(tmp_path / "d.csv", "a,b,y\n1,2,3\nnan,5,6\n7,8,9\n")
+    data = load_csv(path, "y")
+    np.testing.assert_array_equal(data.X, [[1, 2], [7, 8]])
+    assert data.dropped_rows == 1
+    np.testing.assert_array_equal(
+        load_feature_matrix(path, ["b", "a"]), [[2, 1], [8, 7]]
+    )

@@ -85,6 +85,9 @@ class TestDefaultConfig:
             small_config(degree=0).validate()
         with pytest.raises(ConfigError):
             small_config(stopping="cv").validate()
+        for nu in (math.nan, math.inf, -math.inf, -0.1):
+            with pytest.raises(ConfigError):
+                small_config(nu=nu).validate()
 
 
 class TestPredictAlgebra:
