@@ -425,11 +425,25 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         choices=("off", "ln_n"))
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work."""
+    out_dir = os.path.dirname(path) or "."
+    if not os.path.isdir(out_dir):
+        reason = f"no such directory: {out_dir}"
+    elif os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.access(out_dir, os.W_OK) or (
+        os.path.exists(path) and not os.access(path, os.W_OK)
+    ):
+        reason = "permission denied"
+    else:
+        return
+    raise DataError("missing_file", f"cannot write {path}: {reason}")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     # Checked before the fit, which can take minutes, rather than at save.
-    out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):
-        raise DataError("missing_file", f"no such directory: {out_dir}")
+    _check_writable(args.out)
     dataset = _resolve_target(args.data, args.target)
     n, p = dataset.X.shape
     config = replace(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import logging
 import math
 import warnings
@@ -20,8 +21,12 @@ logger = logging.getLogger(__name__)
 _TRAIN_CAP = 1000
 
 # Separators that numpy's parser strips around a number as whitespace and
-# float() does not; a body holding one goes to the per-row rules.
+# float() does not; a piece holding one goes to the per-row rules.
 _FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
+
+# numpy parses a body in pieces of about this many characters, so a bad
+# row costs a second parse of its own piece only.
+_PIECE_CHARS = 1 << 16
 
 
 @dataclass
@@ -61,6 +66,10 @@ class Dataset:
     dropped_rows: int = 0
 
 
+def _non_blank(rows) -> list[list[str]]:
+    return [row for row in rows if any(cell.strip() for cell in row)]
+
+
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     """Stripped header and non-blank body rows of a headed CSV file."""
     try:
@@ -72,8 +81,7 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
         raise DataError("missing_file", f"cannot read {path}: {exc}")
     if not rows:
         raise DataError("no_rows", f"{path} is empty")
-    body = [row for row in rows[1:] if any(cell.strip() for cell in row)]
-    return [name.strip() for name in rows[0]], body
+    return [name.strip() for name in rows[0]], _non_blank(rows[1:])
 
 
 def _is_number(cell: str) -> bool:
@@ -81,6 +89,42 @@ def _is_number(cell: str) -> bool:
         return math.isfinite(float(cell))
     except ValueError:
         return False
+
+
+def _chosen_cells(
+    header: list[str], body: list[list[str]], cols: list[int]
+) -> np.ndarray:
+    """Cells ``cols`` of the body rows as wide as the header, as floats.
+
+    A row is left out when one of those cells is not read by ``float()``.
+    """
+    width = len(header)
+    kept: list[list[float]] = []
+    for row in body:
+        if len(row) == width:
+            try:
+                kept.append([float(row[j]) for j in cols])
+            except ValueError:
+                pass
+    return np.asarray(kept, dtype=float).reshape(len(kept), len(cols))
+
+
+def _keep_finite(
+    path: str, matrix: np.ndarray, n_rows: int
+) -> tuple[np.ndarray, int]:
+    """Rows of ``matrix`` with every cell finite and the dropped count.
+
+    ``n_rows`` counts the body rows ``matrix`` came from.  A drop is noted
+    when rows remain; with none left the caller raises instead.
+    """
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        matrix = matrix[finite]
+    dropped = n_rows - matrix.shape[0]
+    if matrix.shape[0] and dropped:
+        logger.info("dropped %d row(s) of %s with missing or bad cells",
+                    dropped, path)
+    return matrix, dropped
 
 
 def _parse_columns(
@@ -92,21 +136,11 @@ def _parse_columns(
     or one of its selected cells is not a finite number.  A selected column
     that never holds a number is a load error rather than silently encoded.
     """
-    width = len(header)
-    kept: list[list[float]] = []
-    for row in body:
-        if len(row) == width:
-            try:
-                kept.append([float(row[j]) for j in cols])
-            except ValueError:
-                pass
-    matrix = np.asarray(kept, dtype=float).reshape(len(kept), len(cols))
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        matrix = matrix[finite]
-    dropped = len(body) - matrix.shape[0]
-
+    matrix, dropped = _keep_finite(
+        path, _chosen_cells(header, body, cols), len(body)
+    )
     if matrix.shape[0] == 0:
+        width = len(header)
         full = [row for row in body if len(row) == width]
         never_numeric = [
             header[j] for j in cols
@@ -118,44 +152,80 @@ def _parse_columns(
                 f"column(s) never numeric: {', '.join(never_numeric)}",
             )
         raise DataError("no_rows", f"{path} has no usable data rows")
-    _note_dropped(path, dropped)
     return matrix, dropped
 
 
-def _note_dropped(path: str, dropped: int) -> None:
-    if dropped:
-        logger.info("dropped %d row(s) of %s with missing or bad cells",
-                    dropped, path)
+def _pieces(handle):
+    """Consecutive pieces of the rest of ``handle``.
 
-
-def _read_block(path: str) -> tuple[list[str], np.ndarray] | None:
-    """Stripped header and whole float body, parsed by numpy in one pass.
-
-    Returns ``None`` when the per-row rules must decide instead: the file
-    cannot be read or is empty, numpy's parser rejects the body (a ragged
-    row, a cell only ``float()`` accepts, a non-numeric cell, no data) or
-    the body width differs from the header's.  On every body numpy
-    accepts, its values and row count equal the per-row reader's.
+    Each piece holds about ``_PIECE_CHARS`` characters and ends at a line
+    end.  A piece holding an odd number of quotes may end inside a quoted
+    cell, so it runs to the end of the file instead.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            body = handle.read()
-    except (OSError, ValueError, csv.Error):
-        return None
-    if header is None or any(ch in body for ch in _FLOAT_REJECTS):
+    while text := handle.read(_PIECE_CHARS):
+        if not text.endswith("\n"):
+            text += handle.readline()
+        if text.count('"') % 2:
+            text += handle.read()
+        yield text
+
+
+def _parse_piece(text: str, width: int) -> np.ndarray | None:
+    """Whole float block of ``text``, parsed by numpy in one pass.
+
+    ``None`` when numpy rejects the text (a ragged row, a cell only
+    ``float()`` accepts, a non-numeric cell, no data), the text holds a
+    character of ``_FLOAT_REJECTS`` or its width differs from the
+    header's.  On every text numpy accepts, its values and row count
+    equal the per-row reader's.
+    """
+    if any(ch in text for ch in _FLOAT_REJECTS):
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "no data"
-            block = np.loadtxt(io.StringIO(body), delimiter=",",
+            block = np.loadtxt(io.StringIO(text), delimiter=",",
                                comments=None, quotechar='"', ndmin=2)
     except (ValueError, UserWarning):
         return None
-    if block.shape[1] != len(header):
+    return block if block.shape[1] == width else None
+
+
+def _read_blocks(
+    path: str, choose: Callable[[list[str]], list[int]]
+) -> tuple[list[str], np.ndarray, int] | None:
+    """Header, the chosen cells of the readable rows and the body row count.
+
+    numpy parses the body piece by piece.  From the first piece it
+    rejects to the end of the file, rows go through the per-row rules
+    instead, so only that piece is tokenised twice.  ``None`` when the
+    file cannot be read or has no body.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            header = next(csv.reader(handle), None)
+            if header is None:
+                return None
+            header = [name.strip() for name in header]
+            cols = choose(header)
+            parts, n_rows = [], 0
+            for text in _pieces(handle):
+                block = _parse_piece(text, len(header))
+                if block is None:
+                    lines = itertools.chain(
+                        io.StringIO(text, newline=""), handle
+                    )
+                    rest = _non_blank(csv.reader(lines))
+                    parts.append(_chosen_cells(header, rest, cols))
+                    n_rows += len(rest)
+                    break
+                parts.append(block[:, cols])
+                n_rows += block.shape[0]
+    except (OSError, ValueError, csv.Error):
         return None
-    return [name.strip() for name in header], block
+    if not parts:
+        return None
+    return header, np.concatenate(parts), n_rows
 
 
 def _load_columns(
@@ -163,23 +233,17 @@ def _load_columns(
 ) -> tuple[list[str], np.ndarray, int]:
     """Header, the float matrix of the chosen columns and the dropped count.
 
-    ``choose`` maps the header to the column indices to keep.  A body that
-    numpy parses whole is filtered here, a row dropped when one of its
-    chosen cells is not finite; any other file, and a block without a
-    finite row, goes through ``_read_csv`` and ``_parse_columns``, which
-    define the rules and every error.
+    ``choose`` maps the header to the column indices to keep.  A row is
+    dropped when one of its chosen cells is not finite.  A file that
+    cannot be read, and one left without a finite row, goes through
+    ``_read_csv`` and ``_parse_columns``, which define the rules and every
+    error.
     """
-    parsed = _read_block(path)
-    if parsed is not None:
-        header, block = parsed
-        cols = choose(header)
-        matrix = block[:, cols]
-        finite = np.isfinite(matrix).all(axis=1)
-        if finite.any():
-            if not finite.all():
-                matrix = matrix[finite]
-            dropped = block.shape[0] - matrix.shape[0]
-            _note_dropped(path, dropped)
+    blocks = _read_blocks(path, choose)
+    if blocks is not None:
+        header, matrix, n_rows = blocks
+        matrix, dropped = _keep_finite(path, matrix, n_rows)
+        if matrix.shape[0]:
             return header, matrix, dropped
     header, body = _read_csv(path)
     matrix, dropped = _parse_columns(path, header, body, choose(header))

@@ -1,6 +1,7 @@
 """Command line interface: metrics, scenarios, subcommands, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -376,12 +377,31 @@ def test_non_finite_flag_is_usage_error(tmp_path, capsys, command) -> None:
     assert not out.exists()
 
 
+def _unwritable_out(tmp_path, kind: str) -> str:
+    """An --out path under tmp_path that cannot be written, named ``kind``."""
+    if kind == "absent":
+        return str(tmp_path / "absent" / "out")
+    if kind == "taken":
+        (tmp_path / "taken").mkdir()
+        return str(tmp_path / "taken")
+    (tmp_path / "locked").mkdir(mode=0o555)
+    return str(tmp_path / "locked" / "out")
+
+
+@pytest.mark.parametrize("kind", [
+    "absent",
+    "taken",
+    pytest.param("locked", marks=pytest.mark.skipif(
+        hasattr(os, "geteuid") and os.geteuid() == 0,
+        reason="root writes into a read-only directory",
+    )),
+])
 @pytest.mark.parametrize("command", ["train", "predict", "synth"])
 def test_out_in_missing_directory_is_file_error(
-    tmp_path, capsys, monkeypatch, command
+    tmp_path, capsys, monkeypatch, command, kind
 ) -> None:
     data = synth_file(tmp_path)
-    out = str(tmp_path / "absent" / "out")
+    out = _unwritable_out(tmp_path, kind)
     if command == "train":
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before checking --out")
@@ -401,7 +421,7 @@ def test_out_in_missing_directory_is_file_error(
     capsys.readouterr()
     assert main(argv) == EXIT_IO
     err = capsys.readouterr().err
-    assert _one_error_line(err) and "absent" in err
+    assert _one_error_line(err) and kind in err
 
 
 def _drop_theta(doc: dict) -> None:

@@ -275,6 +275,8 @@ READER_CORPUS = {
     "all_nan_column": "a,b,y\n1,nan,3\n4,nan,6\n",
     "header_only": "a,b,y\n",
     "header_spans_lines": '"a\nx",b,y\n1,2,3\n',
+    "late_bad_row": "a,b,y\n1,2,3\n4,5,6\n7,8,9\n10,NA,12\n13,14,15\n",
+    "late_quoted_newline": 'a,b,y\n1,2,3\n4,5,6\n7,8,"9\n"\n10,11,12\n',
 }
 
 
@@ -318,11 +320,14 @@ def _per_row(path, choose):
     return data_io._parse_columns(path, header, body, choose(header))
 
 
+# Small pieces put piece ends between most rows and inside quoted cells.
+@pytest.mark.parametrize("piece_chars", [4, data_io._PIECE_CHARS])
 @pytest.mark.parametrize("reader", sorted(CORPUS_READERS))
 @pytest.mark.parametrize("case", sorted(READER_CORPUS))
 def test_block_parse_matches_per_row_rules(
-    tmp_path, caplog, reader, case
+    tmp_path, caplog, monkeypatch, reader, case, piece_chars
 ) -> None:
+    monkeypatch.setattr(data_io, "_PIECE_CHARS", piece_chars)
     path = write_csv(tmp_path / "d.csv", READER_CORPUS[case])
     read, choose = CORPUS_READERS[reader]
     got, got_notes, got_error = _outcome(lambda: read(path), caplog)
@@ -344,6 +349,7 @@ def test_clean_file_skips_per_row_rules(tmp_path, monkeypatch) -> None:
 
     monkeypatch.setattr(data_io, "_read_csv", refuse)
     monkeypatch.setattr(data_io, "_parse_columns", refuse)
+    monkeypatch.setattr(data_io, "_chosen_cells", refuse)
     path = write_csv(tmp_path / "d.csv", "a,b,y\n1,2,3\nnan,5,6\n7,8,9\n")
     data = load_csv(path, "y")
     np.testing.assert_array_equal(data.X, [[1, 2], [7, 8]])
@@ -351,3 +357,26 @@ def test_clean_file_skips_per_row_rules(tmp_path, monkeypatch) -> None:
     np.testing.assert_array_equal(
         load_feature_matrix(path, ["b", "a"]), [[2, 1], [8, 7]]
     )
+
+
+def test_bad_row_reparses_only_from_its_piece(tmp_path, monkeypatch) -> None:
+    text = "a,b,y\n" + "".join(f"{i},{i},{i}\n" for i in range(40))
+    path = write_csv(tmp_path / "d.csv", text + "1,NA,3\n5,6,7\n")
+    ref_matrix, ref_dropped = _per_row(path, lambda header: [0, 1, 2])
+    seen = []
+    chosen_cells = data_io._chosen_cells
+
+    def counting(header, body, cols):
+        seen.append(len(body))
+        return chosen_cells(header, body, cols)
+
+    def refuse(*args):
+        raise AssertionError("whole file read again by the per-row rules")
+
+    monkeypatch.setattr(data_io, "_PIECE_CHARS", 16)
+    monkeypatch.setattr(data_io, "_chosen_cells", counting)
+    monkeypatch.setattr(data_io, "_read_csv", refuse)
+    data = load_csv(path, "y")
+    assert sum(seen) <= 4  # the bad row's piece and the row after it
+    assert np.array_equal(np.column_stack([data.X, data.y]), ref_matrix)
+    assert data.dropped_rows == ref_dropped == 1
