@@ -471,8 +471,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     predictions = model.predict(X)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("prediction\n")
-        for value in predictions:
-            handle.write(repr(float(value)) + "\n")
+        handle.write("".join(repr(value) + "\n"
+                             for value in predictions.tolist()))
     print(f"{predictions.shape[0]} prediction(s) written to {args.out}")
     return EXIT_OK
 

@@ -79,6 +79,8 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
         raise DataError("missing_file", f"no such file: {path}")
     except OSError as exc:
         raise DataError("missing_file", f"cannot read {path}: {exc}")
+    except UnicodeDecodeError:
+        raise DataError("not_utf8", f"{path} is not UTF-8 text")
     if not rows:
         raise DataError("no_rows", f"{path} is empty")
     return [name.strip() for name in rows[0]], _non_blank(rows[1:])

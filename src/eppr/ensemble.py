@@ -125,10 +125,6 @@ class EnsembleModel:
         outputs.sort(axis=0)
         return outputs.sum(axis=0) / len(self.members)
 
-    def classify(self, X: np.ndarray) -> np.ndarray:
-        """Class labels via the strict 0.5 threshold (ties go to class 0)."""
-        return (self.predict(X) > 0.5).astype(int)
-
 
 def fit(
     X: np.ndarray,
@@ -319,4 +315,6 @@ def load_model(path: str) -> EnsembleModel:
         raise DataError("missing_file", f"no such model file: {path}")
     except OSError as exc:
         raise DataError("missing_file", f"cannot read {path}: {exc}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"not a model document ({path} is not UTF-8 text)")
     return from_json_text(text)

@@ -13,7 +13,7 @@ class DataError(EpprError):
     """Problem reading or interpreting an input file.
 
     ``code`` distinguishes failure modes programmatically:
-    ``missing_file``, ``missing_target``, ``no_rows``,
+    ``missing_file``, ``not_utf8``, ``missing_target``, ``no_rows``,
     ``non_numeric_column``, ``too_few_rows``.
     """
 

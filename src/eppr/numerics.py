@@ -51,7 +51,7 @@ def solve_ridge_ls(
         raise ValueError("design must be (n, m) and target (n,)")
     if design.shape[0] < 1 or design.shape[1] < 1:
         raise ValueError("design must have at least one row and one column")
-    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(target))):
+    if not (np.isfinite(design).all() and np.isfinite(target).all()):
         raise NumericError("non-finite entries in least-squares inputs")
     if damping is not None and damping < 0.0:
         raise ValueError("damping must be >= 0")
@@ -59,23 +59,40 @@ def solve_ridge_ls(
     gram = design.T @ design
     rhs = design.T @ target
     if damping is None:
-        damping = DEFAULT_DAMPING_SCALE * float(np.mean(np.diag(gram)))
+        damping = DEFAULT_DAMPING_SCALE * _mean_diagonal(gram)
 
     beta = None
     if damping > 0.0 or not _numerically_singular(gram):
         # design and target are checked finite above; a non-finite
         # solution is caught below.
-        beta = _cholesky_solve(gram + damping * np.eye(gram.shape[0]), rhs)
+        beta = _cholesky_solve(_damped(gram, damping), rhs)
     if beta is None:
         # Undamped singular system or failed factorization: take the
         # minimum-norm solution.
         beta = np.linalg.lstsq(design, target, rcond=None)[0]
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         raise NumericError("least-squares solve produced non-finite values")
     residual = target - design @ beta
     return LsSolution(
         coefficients=beta, sse=float(residual @ residual), residual=residual
     )
+
+
+def _mean_diagonal(gram: np.ndarray) -> float:
+    """``np.mean(np.diag(gram))`` without numpy's wrappers: the same sum."""
+    return float(np.add.reduce(gram.diagonal()) / gram.shape[0])
+
+
+def _damped(gram: np.ndarray, damping: float) -> np.ndarray:
+    """``gram + damping * np.eye(m)`` entry for entry, without the identity.
+
+    Off the diagonal that sum added ``damping * 0.0``, which is 0.0 for a
+    finite damping (so a -0.0 entry became 0.0) and NaN for an infinite
+    one; the diagonal added ``damping * 1.0 == damping``.
+    """
+    system = gram + damping * 0.0
+    system.reshape(-1)[:: gram.shape[0] + 1] = gram.diagonal() + damping
+    return system
 
 
 def _cholesky_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -112,13 +129,12 @@ def gauss_newton_delta(
     """
     gram = jacobian.T @ jacobian
     rhs = jacobian.T @ residuals
-    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         return None
-    q = gram.shape[0]
-    damping = DEFAULT_DAMPING_SCALE * max(float(np.mean(np.diag(gram))), 1e-12)
+    damping = DEFAULT_DAMPING_SCALE * max(_mean_diagonal(gram), 1e-12)
     for _ in range(_MAX_ESCALATIONS + 1):
-        delta = _cholesky_solve(gram + damping * np.eye(q), rhs)
-        if delta is not None and np.all(np.isfinite(delta)):
+        delta = _cholesky_solve(_damped(gram, damping), rhs)
+        if delta is not None and np.isfinite(delta).all():
             return delta
         damping *= 10.0
     return None

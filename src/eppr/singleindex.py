@@ -8,6 +8,7 @@ direction, from several starts, keeping the best.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +36,13 @@ class ProjectionScaler:
             raise ConfigError("scaler requires hi > lo")
 
     def transform(self, z: np.ndarray | float) -> np.ndarray | float:
-        return np.clip(2.0 * (z - self.lo) / (self.hi - self.lo) - 1.0, -1.0, 1.0)
+        # clip(2 (z - lo) / (hi - lo) - 1, -1, 1), one step at a time in
+        # the array that z - lo allocates.
+        v = np.subtract(z, self.lo)
+        v *= 2.0
+        v /= self.hi - self.lo
+        v -= 1.0
+        return np.clip(v, -1.0, 1.0, out=v if v.ndim else None)
 
     @property
     def slope(self) -> float:
@@ -94,8 +101,8 @@ class SingleIndexOptions:
 
 
 def _unit(vec: np.ndarray) -> np.ndarray | None:
-    norm = float(np.linalg.norm(vec))
-    if norm < 1e-12 or not np.isfinite(norm):
+    norm = math.sqrt(vec.dot(vec))
+    if norm < 1e-12 or not math.isfinite(norm):
         return None
     return vec / norm
 
@@ -130,8 +137,8 @@ def _solve_at_theta(
     Returns ``None`` when the projections are too narrow to scale.
     """
     z = X_A @ theta
-    lo = float(np.min(z))
-    hi = float(np.max(z))
+    lo = float(z.min())
+    hi = float(z.max())
     if hi - lo < _DEGENERATE_SPAN:
         return None
     scaler = ProjectionScaler(lo, hi)
@@ -243,7 +250,8 @@ def _fit_from_start(
 
     for _ in range(opts.max_alternations):
         slope_g = basis_deriv_matrix(kv, v) @ sol.coefficients
-        jacobian = (slope_g * scaler.slope)[:, None] * X_A
+        slope_g *= scaler.slope
+        jacobian = slope_g[:, None] * X_A
         delta = gauss_newton_delta(sol.residual, jacobian)
         if delta is None:
             break

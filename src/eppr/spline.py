@@ -40,8 +40,12 @@ class KnotVector:
     interior_count: int
     knots: np.ndarray = field(repr=False)
     basis_count: int
-    # Span-local tables, built once in __post_init__ (see _span_tables).
+    # Span-local tables, built once in __post_init__ (see _span_tables),
+    # and the knot slices and local column offsets every evaluation reads.
+    _span_lo: np.ndarray = field(init=False, repr=False, compare=False)
     _span_width: np.ndarray = field(init=False, repr=False, compare=False)
+    _inner_knots: np.ndarray = field(init=False, repr=False, compare=False)
+    _local_cols: np.ndarray = field(init=False, repr=False, compare=False)
     _value_table: np.ndarray = field(init=False, repr=False, compare=False)
     _deriv_table: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -52,7 +56,10 @@ class KnotVector:
             raise ConfigError(
                 "basis_count must equal interior_count + degree + 1"
             )
-        knots = np.asarray(self.knots, dtype=float)
+        # A private, read-only copy: the span tables and the knot slices
+        # built below must keep describing the knots the vector holds.
+        knots = np.array(self.knots, dtype=float)
+        knots.setflags(write=False)
         object.__setattr__(self, "knots", knots)
         if knots.shape != (self.basis_count + self.degree + 1,):
             raise ConfigError("knot sequence has the wrong length")
@@ -68,7 +75,11 @@ class KnotVector:
         width, values, derivs = _span_tables(
             knots, self.degree, self.basis_count
         )
+        d, J = self.degree, self.basis_count
+        object.__setattr__(self, "_span_lo", knots[d:J])
         object.__setattr__(self, "_span_width", width)
+        object.__setattr__(self, "_inner_knots", knots[d + 1:J])
+        object.__setattr__(self, "_local_cols", np.arange(d + 1))
         object.__setattr__(self, "_value_table", values)
         object.__setattr__(self, "_deriv_table", derivs)
 
@@ -176,7 +187,7 @@ def _check_points(v: np.ndarray) -> np.ndarray:
     v = np.ascontiguousarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError("v must be one-dimensional")
-    if v.size and (np.min(v) < -1.0 or np.max(v) > 1.0):
+    if v.size and (v.min() < -1.0 or v.max() > 1.0):
         raise ValueError("evaluation points must lie in [-1, 1]")
     return v
 
@@ -207,18 +218,18 @@ def _evaluate(kv: KnotVector, v: np.ndarray, table: np.ndarray) -> np.ndarray:
     Only the ``degree + 1`` functions non-zero on that span are evaluated;
     every other entry is exactly 0.
     """
-    d = kv.degree
     J = kv.basis_count
-    first = np.searchsorted(kv.knots[d + 1:J], v, side="right")
-    t = (v - np.take(kv.knots[d:J], first)) / np.take(kv._span_width, first)
+    first = kv._inner_knots.searchsorted(v, side="right")
+    t = v - kv._span_lo.take(first)
+    t /= kv._span_width.take(first)
     local = np.einsum(
         "nk,nkj->nj",
         _bernstein(t, table.shape[1] - 1),
-        np.take(table, first, axis=0),
+        table.take(first, axis=0),
     )
     out = np.zeros((v.size, J))
-    cols = (np.arange(0, v.size * J, J) + first)[:, None] + np.arange(d + 1)
-    out.reshape(-1)[cols] = local
+    first += np.arange(0, v.size * J, J)  # flat index of each row's span
+    out.reshape(-1)[first[:, None] + kv._local_cols] = local
     return out
 
 

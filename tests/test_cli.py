@@ -18,6 +18,7 @@ from eppr.cli import (
     run_benchmark,
 )
 from eppr.data_io import Dataset, load_csv
+from eppr.ensemble import load_model
 from eppr.errors import ConfigError, NumericError
 
 
@@ -495,6 +496,44 @@ def test_malformed_model_is_one_line_usage_error(
     doc = json.loads(model_path.read_text())
     mutate(doc)
     model_path.write_text(json.dumps(doc).replace(f'"{OVERFLOW}"', OVERFLOW))
+    capsys.readouterr()
+    code = main(["predict", "--model", str(model_path), "--data", data,
+                 "--out", str(tmp_path / "p.csv")])
+    assert code == EXIT_USAGE
+    assert _one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_non_utf8_csv_is_one_line_file_error(tmp_path, capsys, command) -> None:
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"x1,y\n1,2\n\xe9,3\n4,5\n")
+    if command == "train":
+        argv = ["train", "--data", str(bad), "--target", "y",
+                "--out", str(tmp_path / "m.json")]
+    else:
+        model_path = str(tmp_path / "model.json")
+        assert main(["train", "--data", synth_file(tmp_path, p=1),
+                     "--target", "y", "--out", model_path, "--B", "1",
+                     "--kmax", "1", "--stopping", "fixed_k"]) == EXIT_OK
+        argv = ["predict", "--model", model_path, "--data", str(bad),
+                "--out", str(tmp_path / "p.csv")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "UTF-8" in err
+
+
+def test_non_utf8_model_is_one_line_usage_error(tmp_path, capsys) -> None:
+    data = synth_file(tmp_path)
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", data, "--target", "y",
+                 "--out", str(model_path), "--B", "1", "--kmax", "1",
+                 "--stopping", "fixed_k"]) == EXIT_OK
+    text = model_path.read_bytes()
+    model_path.write_bytes(text.replace(b'"column_names"', b'"\xe9"', 1))
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_model(str(model_path))
     capsys.readouterr()
     code = main(["predict", "--model", str(model_path), "--data", data,
                  "--out", str(tmp_path / "p.csv")])

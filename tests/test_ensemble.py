@@ -188,32 +188,6 @@ class TestTruncation:
         assert model.truncation is None
 
 
-class TestClassify:
-    def test_threshold_above(self) -> None:
-        model = hand_model([0.6])
-        np.testing.assert_array_equal(
-            model.classify(np.zeros((3, 1))), np.ones(3, dtype=int)
-        )
-
-    def test_threshold_below(self) -> None:
-        model = hand_model([0.4])
-        np.testing.assert_array_equal(
-            model.classify(np.zeros((3, 1))), np.zeros(3, dtype=int)
-        )
-
-    def test_mixed_members_mean_drives_label(self) -> None:
-        model = hand_model([0.6, 0.8])
-        np.testing.assert_array_equal(
-            model.classify(np.zeros((2, 1))), np.ones(2, dtype=int)
-        )
-
-    def test_exact_half_goes_to_zero(self) -> None:
-        model = hand_model([0.5])
-        np.testing.assert_array_equal(
-            model.classify(np.zeros((2, 1))), np.zeros(2, dtype=int)
-        )
-
-
 class TestDeterminism:
     def test_refit_is_byte_identical(self) -> None:
         X, y = training_data(seed=5)

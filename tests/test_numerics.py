@@ -330,3 +330,51 @@ class TestFailedFactorization:
         systems = self.fail_first(monkeypatch, 100)
         assert gauss_newton_delta(rng.standard_normal(40), jac) is None
         assert len(systems) == 7
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: no tolerance, and -0.0 != 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+class TestDampedSystemMatchesExpression:
+    """The wrapper-free helpers against the numpy expressions they replaced."""
+
+    @staticmethod
+    def gram(m: int) -> np.ndarray:
+        design = np.random.default_rng(m).standard_normal((40, m))
+        gram = design.T @ design
+        if m > 1:
+            # A -0.0 entry turns into 0.0 when the damping term is added.
+            gram[0, 1] = gram[1, 0] = -0.0
+        return gram
+
+    @pytest.mark.parametrize("m", [1, 7, 30])
+    @pytest.mark.parametrize("damping", [0.0, 1e-8, 3.7e-3, 1e6])
+    def test_damped_system_bit_identical(self, m: int, damping: float) -> None:
+        gram = self.gram(m)
+        expected = gram + damping * np.eye(m)
+        assert same_bits(numerics._damped(gram, damping), expected)
+
+    @pytest.mark.parametrize("m", [1, 7, 30])
+    def test_infinite_damping_matches(self, m: int) -> None:
+        gram = self.gram(m)
+        with np.errstate(invalid="ignore"):  # inf * 0.0 off the diagonal
+            expected = gram + np.inf * np.eye(m)
+        assert np.array_equal(
+            numerics._damped(gram, np.inf), expected, equal_nan=True
+        )
+
+    @pytest.mark.parametrize("m", [1, 7, 30])
+    def test_damped_system_leaves_gram_alone(self, m: int) -> None:
+        gram = self.gram(m)
+        before = gram.copy()
+        numerics._damped(gram, 1e-3)
+        assert same_bits(gram, before)
+
+    @pytest.mark.parametrize("m", [1, 7, 30])
+    def test_mean_diagonal_bit_identical(self, m: int) -> None:
+        gram = self.gram(m) * 1e3 + 1.0 / 3.0
+        assert numerics._mean_diagonal(gram) == float(np.mean(np.diag(gram)))

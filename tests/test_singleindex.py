@@ -223,3 +223,66 @@ class TestFitSingleIndex:
         np.testing.assert_allclose(
             eval_ridge_batch(ridge, X), y.mean(), atol=1e-10
         )
+
+
+def reference_transform(scaler: ProjectionScaler, z):
+    """The expression ``ProjectionScaler.transform`` computed in one line."""
+    return np.clip(
+        2.0 * (z - scaler.lo) / (scaler.hi - scaler.lo) - 1.0, -1.0, 1.0
+    )
+
+
+def reference_unit(vec: np.ndarray) -> np.ndarray | None:
+    norm = float(np.linalg.norm(vec))
+    if norm < 1e-12 or not np.isfinite(norm):
+        return None
+    return vec / norm
+
+
+class TestRewriteMatchesReference:
+    """In-place and wrapper-free helpers against the expressions they replaced."""
+
+    SCALERS = [ProjectionScaler(-0.37, 1.91), ProjectionScaler(2.0, 6.0),
+               ProjectionScaler(-3e-7, 5e-7)]
+
+    @pytest.mark.parametrize("scaler", SCALERS)
+    def test_transform_in_and_out_of_range(self, scaler) -> None:
+        rng = np.random.default_rng(21)
+        span = scaler.hi - scaler.lo
+        inside = rng.uniform(scaler.lo, scaler.hi, 500)
+        outside = np.concatenate([
+            scaler.lo - span * rng.uniform(0.0, 3.0, 50),
+            scaler.hi + span * rng.uniform(0.0, 3.0, 50),
+        ])
+        for z in (inside, outside, np.array([scaler.lo, scaler.hi]),
+                  np.empty(0)):
+            before = z.copy()
+            got = scaler.transform(z)
+            assert got.dtype == np.float64 and got.shape == z.shape
+            assert got.tobytes() == reference_transform(scaler, z).tobytes()
+            assert np.array_equal(z, before)
+
+    @pytest.mark.parametrize("scaler", SCALERS)
+    def test_transform_scalars(self, scaler) -> None:
+        span = scaler.hi - scaler.lo
+        for z in (scaler.lo, scaler.hi, scaler.lo + 0.3 * span,
+                  scaler.lo - span, scaler.hi + 2.0 * span):
+            got = scaler.transform(z)
+            expected = reference_transform(scaler, z)
+            assert got == expected
+            assert type(got) is type(expected)
+
+    def test_unit_bit_identical(self) -> None:
+        from eppr.singleindex import _unit
+
+        rng = np.random.default_rng(22)
+        vectors = [rng.standard_normal(q) * scale
+                   for q in range(1, 10) for scale in (1e-9, 1.0, 1e150)]
+        vectors += [theta + step for theta, step in zip(
+            vectors[::2], vectors[1::2]) if theta.shape == step.shape]
+        for vec in vectors:
+            got, expected = _unit(vec), reference_unit(vec)
+            assert got is not None and got.tobytes() == expected.tobytes()
+        for vec in (np.zeros(3), np.full(2, 1e-14), np.array([np.nan, 1.0]),
+                    np.array([np.inf, 0.0])):
+            assert _unit(vec) is None and reference_unit(vec) is None

@@ -70,6 +70,16 @@ class TestMakeUniformKnots:
         with pytest.raises(ConfigError, match="quasi-uniform"):
             KnotVector(degree=1, interior_count=1, knots=knots, basis_count=3)
 
+    def test_caller_array_does_not_alias_knots(self) -> None:
+        knots = np.array([-1.0, -1.0, 0.0, 1.0, 1.0])
+        kv = KnotVector(degree=1, interior_count=1, knots=knots, basis_count=3)
+        v = np.array([0.25])
+        before = basis_matrix(kv, v)
+        knots[2] = 0.5
+        assert np.array_equal(basis_matrix(kv, v), before)
+        with pytest.raises(ValueError, match="read-only"):
+            kv.knots[2] = 0.5
+
 
 class TestEvalBasis:
     def test_left_endpoint_hat(self) -> None:

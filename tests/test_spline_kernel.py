@@ -111,3 +111,47 @@ class TestKernelMatchesReference:
         expected[0, 0] = 1.0
         expected[1, -1] = 1.0
         assert np.array_equal(rows, expected)
+
+
+def reference_evaluate(kv: KnotVector, v: np.ndarray, table) -> np.ndarray:
+    """The span-local evaluation as first written, with numpy's wrappers."""
+    from eppr.spline import _bernstein
+
+    d = kv.degree
+    J = kv.basis_count
+    first = np.searchsorted(kv.knots[d + 1:J], v, side="right")
+    t = (v - np.take(kv.knots[d:J], first)) / np.take(kv._span_width, first)
+    local = np.einsum(
+        "nk,nkj->nj",
+        _bernstein(t, table.shape[1] - 1),
+        np.take(table, first, axis=0),
+    )
+    out = np.zeros((v.size, J))
+    cols = (np.arange(0, v.size * J, J) + first)[:, None] + np.arange(d + 1)
+    out.reshape(-1)[cols] = local
+    return out
+
+
+@pytest.mark.parametrize("degree", [1, 3, 5])
+@pytest.mark.parametrize("spans", [1, 9])
+class TestKernelMatchesWrappedKernel:
+    """Bit for bit the evaluation before numpy's wrappers were stripped."""
+
+    @staticmethod
+    def points(kv: KnotVector) -> dict:
+        rng = np.random.default_rng(31 + kv.degree)
+        return {
+            "knots": np.unique(kv.knots),
+            "ends": np.array([-1.0, 1.0, 1.0, -1.0]),
+            "random": rng.uniform(-1.0, 1.0, 2_000),
+        }
+
+    @pytest.mark.parametrize("kind", ["value", "deriv"])
+    def test_bit_identical(self, spans: int, degree: int, kind: str) -> None:
+        kv = make_uniform_knots(degree + spans, degree)
+        evaluate = basis_matrix if kind == "value" else basis_deriv_matrix
+        table = kv._value_table if kind == "value" else kv._deriv_table
+        for name, v in self.points(kv).items():
+            got, expected = evaluate(kv, v), reference_evaluate(kv, v, table)
+            assert got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
