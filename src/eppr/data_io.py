@@ -70,22 +70,6 @@ def _non_blank(rows) -> list[list[str]]:
     return [row for row in rows if any(cell.strip() for cell in row)]
 
 
-def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Stripped header and non-blank body rows of a headed CSV file."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
-    except FileNotFoundError:
-        raise DataError("missing_file", f"no such file: {path}")
-    except OSError as exc:
-        raise DataError("missing_file", f"cannot read {path}: {exc}")
-    except UnicodeDecodeError:
-        raise DataError("not_utf8", f"{path} is not UTF-8 text")
-    if not rows:
-        raise DataError("no_rows", f"{path} is empty")
-    return [name.strip() for name in rows[0]], _non_blank(rows[1:])
-
-
 def _is_number(cell: str) -> bool:
     try:
         return math.isfinite(float(cell))
@@ -129,32 +113,30 @@ def _keep_finite(
     return matrix, dropped
 
 
-def _parse_columns(
-    path: str, header: list[str], body: list[list[str]], cols: list[int]
-) -> tuple[np.ndarray, int]:
-    """Float matrix of the columns ``cols`` and the count of dropped rows.
+def _no_finite_row(
+    path: str, header: list[str], cols: list[int], handle
+) -> DataError:
+    """The error for a file whose chosen cells hold no finite row.
 
-    A row is dropped and counted when its width differs from the header's
-    or one of its selected cells is not a finite number.  A selected column
-    that never holds a number is a load error rather than silently encoded.
+    ``handle`` is read again from the start.  A chosen column that never
+    holds a finite number in a row as wide as the header is a load error
+    rather than silently encoded; otherwise the file has no usable rows.
     """
-    matrix, dropped = _keep_finite(
-        path, _chosen_cells(header, body, cols), len(body)
-    )
-    if matrix.shape[0] == 0:
-        width = len(header)
-        full = [row for row in body if len(row) == width]
-        never_numeric = [
-            header[j] for j in cols
-            if full and not any(_is_number(row[j]) for row in full)
-        ]
-        if never_numeric:
-            raise DataError(
-                "non_numeric_column",
-                f"column(s) never numeric: {', '.join(never_numeric)}",
-            )
-        raise DataError("no_rows", f"{path} has no usable data rows")
-    return matrix, dropped
+    handle.seek(0)
+    rows = csv.reader(handle)
+    next(rows)
+    width = len(header)
+    full = [row for row in _non_blank(rows) if len(row) == width]
+    never_numeric = [
+        header[j] for j in cols
+        if full and not any(_is_number(row[j]) for row in full)
+    ]
+    if never_numeric:
+        return DataError(
+            "non_numeric_column",
+            f"column(s) never numeric: {', '.join(never_numeric)}",
+        )
+    return DataError("no_rows", f"{path} has no usable data rows")
 
 
 def _pieces(handle):
@@ -179,7 +161,7 @@ def _parse_piece(text: str, width: int) -> np.ndarray | None:
     ``float()`` accepts, a non-numeric cell, no data), the text holds a
     character of ``_FLOAT_REJECTS`` or its width differs from the
     header's.  On every text numpy accepts, its values and row count
-    equal the per-row reader's.
+    equal those of the per-row rules.
     """
     if any(ch in text for ch in _FLOAT_REJECTS):
         return None
@@ -193,24 +175,27 @@ def _parse_piece(text: str, width: int) -> np.ndarray | None:
     return block if block.shape[1] == width else None
 
 
-def _read_blocks(
+def _load_columns(
     path: str, choose: Callable[[list[str]], list[int]]
-) -> tuple[list[str], np.ndarray, int] | None:
-    """Header, the chosen cells of the readable rows and the body row count.
+) -> tuple[list[str], np.ndarray, int]:
+    """Header, the float matrix of the chosen columns and the dropped count.
 
-    numpy parses the body piece by piece.  From the first piece it
-    rejects to the end of the file, rows go through the per-row rules
-    instead, so only that piece is tokenised twice.  ``None`` when the
-    file cannot be read or has no body.
+    ``choose`` maps the header to the column indices to keep.  Blank lines
+    are skipped, and a row is dropped when its width differs from the
+    header's or one of its chosen cells is not a finite number.  numpy
+    parses the body piece by piece.  From the first piece it rejects to
+    the end of the file, rows go through the per-row rules instead, so
+    only that piece is tokenised twice.  Every failure to read the file
+    is a ``DataError``.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             header = next(csv.reader(handle), None)
             if header is None:
-                return None
+                raise DataError("no_rows", f"{path} is empty")
             header = [name.strip() for name in header]
             cols = choose(header)
-            parts, n_rows = [], 0
+            parts, n_rows = [np.empty((0, len(cols)))], 0
             for text in _pieces(handle):
                 block = _parse_piece(text, len(header))
                 if block is None:
@@ -223,32 +208,19 @@ def _read_blocks(
                     break
                 parts.append(block[:, cols])
                 n_rows += block.shape[0]
-    except (OSError, ValueError, csv.Error):
-        return None
-    if not parts:
-        return None
-    return header, np.concatenate(parts), n_rows
-
-
-def _load_columns(
-    path: str, choose: Callable[[list[str]], list[int]]
-) -> tuple[list[str], np.ndarray, int]:
-    """Header, the float matrix of the chosen columns and the dropped count.
-
-    ``choose`` maps the header to the column indices to keep.  A row is
-    dropped when one of its chosen cells is not finite.  A file that
-    cannot be read, and one left without a finite row, goes through
-    ``_read_csv`` and ``_parse_columns``, which define the rules and every
-    error.
-    """
-    blocks = _read_blocks(path, choose)
-    if blocks is not None:
-        header, matrix, n_rows = blocks
-        matrix, dropped = _keep_finite(path, matrix, n_rows)
-        if matrix.shape[0]:
-            return header, matrix, dropped
-    header, body = _read_csv(path)
-    matrix, dropped = _parse_columns(path, header, body, choose(header))
+            matrix, dropped = _keep_finite(
+                path, np.concatenate(parts), n_rows
+            )
+            if not matrix.shape[0]:
+                raise _no_finite_row(path, header, cols, handle)
+    except FileNotFoundError:
+        raise DataError("missing_file", f"no such file: {path}")
+    except OSError as exc:
+        raise DataError("missing_file", f"cannot read {path}: {exc}")
+    except UnicodeDecodeError:
+        raise DataError("not_utf8", f"{path} is not UTF-8 text")
+    except csv.Error as exc:
+        raise DataError("bad_csv", f"cannot read {path} as CSV: {exc}")
     return header, matrix, dropped
 
 
@@ -256,7 +228,7 @@ def load_csv(path: str, target: str | int) -> Dataset:
     """Read a headed CSV into a Dataset, dropping rows with bad cells.
 
     ``target`` selects the response column by name or by position in the
-    header.  Every column is parsed under the rules of ``_parse_columns``.
+    header.  Every column is parsed under the rules of ``_load_columns``.
     """
 
     def every_column(header: list[str]) -> list[int]:

@@ -126,6 +126,19 @@ class EnsembleModel:
         return outputs.sum(axis=0) / len(self.members)
 
 
+def _column_names(names, p: int) -> list[str] | None:
+    """``names`` when null or one string per predictor, then the target."""
+    if names is not None and not (
+        isinstance(names, list) and len(names) == p + 1
+        and all(isinstance(name, str) for name in names)
+    ):
+        raise ConfigError(
+            f"column_names must be null or {p + 1} strings: the "
+            "predictors, then the target"
+        )
+    return names
+
+
 def fit(
     X: np.ndarray,
     y: np.ndarray,
@@ -135,10 +148,12 @@ def fit(
 ) -> EnsembleModel:
     """Fit B independent greedy runs and wrap them as one model.
 
-    Members are fitted in index order on the calling thread.  ``workers``
-    is accepted and has no effect: a member fit is Python-bound under the
-    interpreter lock, so a thread pool ran slower than this loop, and a
-    process pool adds a whole child interpreter to peak memory.
+    ``column_names`` names the predictors, then the target, as
+    ``Dataset.column_names`` does.  Members are fitted in index order on
+    the calling thread.  ``workers`` is accepted and has no effect: a
+    member fit is Python-bound under the interpreter lock, so a thread
+    pool ran slower than this loop, and a process pool adds a whole child
+    interpreter to peak memory.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -147,6 +162,9 @@ def fit(
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise NumericError("non-finite entries in training data")
     config.validate(p=X.shape[1])
+    names = _column_names(
+        list(column_names) if column_names else None, X.shape[1]
+    )
 
     scaling = ColumnScaling.fit(X)
     Xs = scaling.transform(X)
@@ -168,7 +186,7 @@ def fit(
         members=members,
         feature_scaling=scaling,
         truncation=truncation,
-        column_names=list(column_names) if column_names else None,
+        column_names=names,
     )
 
 
@@ -218,8 +236,9 @@ def from_json_text(text: str) -> EnsembleModel:
     A document that does not describe a model (missing or unknown keys,
     wrong value types, a number that is not finite or overflows, no
     members, subset indices outside the stored predictor count, weight
-    count or ``k`` that disagrees with the ridge count) raises
-    ``ConfigError``.
+    count or ``k`` that disagrees with the ridge count, ``column_names``
+    other than null or one string per predictor and one for the target)
+    raises ``ConfigError``.
     """
     try:
         doc = json.loads(text, parse_float=_finite_float,
@@ -292,13 +311,14 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
                 sse_trace=[float(s) for s in mdoc["sse_trace"]],
             )
         )
+    names = _column_names(doc.get("column_names"), p)
     truncation = doc.get("truncation")
     return EnsembleModel(
         config=config,
         members=members,
         feature_scaling=scaling,
         truncation=float(truncation) if truncation is not None else None,
-        column_names=doc.get("column_names"),
+        column_names=names,
     )
 
 

@@ -13,8 +13,10 @@ class DataError(EpprError):
     """Problem reading or interpreting an input file.
 
     ``code`` distinguishes failure modes programmatically:
-    ``missing_file``, ``not_utf8``, ``missing_target``, ``no_rows``,
-    ``non_numeric_column``, ``too_few_rows``.
+    ``missing_file``, ``not_utf8``, ``bad_csv`` (the ``csv`` module
+    refused the text, such as a cell over its field limit),
+    ``missing_target``, ``no_rows``, ``non_numeric_column``,
+    ``too_few_rows``.
     """
 
     def __init__(self, code: str, message: str):

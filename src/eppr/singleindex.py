@@ -20,6 +20,14 @@ from .spline import KnotVector, basis_deriv_matrix, basis_matrix
 # Projection ranges narrower than this collapse the ridge to a constant.
 _DEGENERATE_SPAN = 1e-12
 
+# The alternating fit: starts per ridge (the OLS direction, then random
+# ones), alternations per start, step halvings per Gauss-Newton step, and
+# the relative SSE gain below which a start stops.
+_N_STARTS = 5
+_MAX_ALTERNATIONS = 20
+_MAX_HALVINGS = 10
+_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ProjectionScaler:
@@ -91,13 +99,9 @@ def eval_ridge_batch(ridge: Ridge, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SingleIndexOptions:
-    """Knobs for the alternating fit."""
+    """The random source for the alternating fit's random starts."""
 
     rng: np.random.Generator
-    n_starts: int = 5
-    max_alternations: int = 20
-    rel_tol: float = 1e-6
-    max_halvings: int = 10
 
 
 def _unit(vec: np.ndarray) -> np.ndarray | None:
@@ -198,13 +202,13 @@ def fit_single_index(
     starts: list[np.ndarray] = []
     ols = _ols_direction(X_A, residuals)
     starts.append(ols if ols is not None else _first_axis_unit(q))
-    for _ in range(opts.n_starts - 1):
+    for _ in range(_N_STARTS - 1):
         drawn = _unit(opts.rng.standard_normal(q))
         starts.append(drawn if drawn is not None else _first_axis_unit(q))
 
     best: tuple[float, Ridge] | None = None
     for theta0 in starts:
-        fitted = _fit_from_start(X_A, residuals, kv, theta0, opts, subset)
+        fitted = _fit_from_start(X_A, residuals, kv, theta0, subset)
         if fitted is None:
             continue
         sse, ridge = fitted
@@ -234,7 +238,6 @@ def _fit_from_start(
     residuals: np.ndarray,
     kv: KnotVector,
     theta0: np.ndarray,
-    opts: SingleIndexOptions,
     subset: np.ndarray,
 ) -> tuple[float, Ridge] | None:
     theta = theta0
@@ -248,7 +251,7 @@ def _fit_from_start(
         )
     scaler, v, sol = state
 
-    for _ in range(opts.max_alternations):
+    for _ in range(_MAX_ALTERNATIONS):
         slope_g = basis_deriv_matrix(kv, v) @ sol.coefficients
         slope_g *= scaler.slope
         jacobian = slope_g[:, None] * X_A
@@ -258,7 +261,7 @@ def _fit_from_start(
 
         prev_sse = sol.sse
         step = delta
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             cand_theta = _unit(theta + step)
             step = step * 0.5
             if cand_theta is None:
@@ -273,7 +276,7 @@ def _fit_from_start(
         else:
             # Step-halving exhausted without lowering the SSE.
             break
-        if prev_sse - sol.sse < opts.rel_tol * max(prev_sse, 1e-30):
+        if prev_sse - sol.sse < _REL_TOL * max(prev_sse, 1e-30):
             break
 
     ridge = Ridge(

@@ -474,6 +474,22 @@ def _overflowing_int_intercept(doc: dict) -> None:
     doc["members"][0]["intercept"] = 10 ** 400
 
 
+def _column_names_object(doc: dict) -> None:
+    doc["column_names"] = {"x1": 0}
+
+
+def _column_names_number(doc: dict) -> None:
+    doc["column_names"] = 3
+
+
+def _column_names_one_short(doc: dict) -> None:
+    doc["column_names"].pop()
+
+
+def _column_names_not_strings(doc: dict) -> None:
+    doc["column_names"] = list(range(len(doc["column_names"])))
+
+
 # Written unquoted, as a literal json.dumps cannot produce from a float.
 OVERFLOW = "1e999"
 
@@ -483,7 +499,8 @@ OVERFLOW = "1e999"
     [_drop_theta, _unknown_config_field, _subset_beyond_p, _extra_weight,
      _short_scaling_bound, _no_members, _k_exceeds_ridges, _nan_theta,
      _infinite_coeff, _minus_infinite_scaling, _overflowing_weight,
-     _overflowing_int_intercept],
+     _overflowing_int_intercept, _column_names_object, _column_names_number,
+     _column_names_one_short, _column_names_not_strings],
 )
 def test_malformed_model_is_one_line_usage_error(
     tmp_path, capsys, mutate
@@ -504,24 +521,52 @@ def test_malformed_model_is_one_line_usage_error(
     assert not (tmp_path / "p.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "predict"])
-def test_non_utf8_csv_is_one_line_file_error(tmp_path, capsys, command) -> None:
-    bad = tmp_path / "latin1.csv"
-    bad.write_bytes(b"x1,y\n1,2\n\xe9,3\n4,5\n")
-    if command == "train":
-        argv = ["train", "--data", str(bad), "--target", "y",
-                "--out", str(tmp_path / "m.json")]
-    else:
+def _reading_argv(tmp_path, command: str, data: str) -> list[str]:
+    """Arguments that make ``command`` read the CSV file ``data``."""
+    if command == "predict":
         model_path = str(tmp_path / "model.json")
         assert main(["train", "--data", synth_file(tmp_path, p=1),
                      "--target", "y", "--out", model_path, "--B", "1",
                      "--kmax", "1", "--stopping", "fixed_k"]) == EXIT_OK
-        argv = ["predict", "--model", model_path, "--data", str(bad),
+        return ["predict", "--model", model_path, "--data", data,
                 "--out", str(tmp_path / "p.csv")]
+    if command == "train":
+        return ["train", "--data", data, "--target", "y",
+                "--out", str(tmp_path / "m.json")]
+    return ["benchmark", "--data", data, "--target", "y", "--repeats", "1"]
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_non_utf8_csv_is_one_line_file_error(tmp_path, capsys, command) -> None:
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"x1,y\n1,2\n\xe9,3\n4,5\n")
+    argv = _reading_argv(tmp_path, command, str(bad))
     capsys.readouterr()
     assert main(argv) == EXIT_IO
     err = capsys.readouterr().err
     assert _one_error_line(err) and "UTF-8" in err
+
+
+# One cell longer than the csv module's field limit of 131,072 characters.
+OVERSIZED_CELL = "a" * 140_000
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+@pytest.mark.parametrize("command", ["train", "predict", "benchmark"])
+def test_oversized_csv_cell_is_one_line_file_error(
+    tmp_path, capsys, command, where
+) -> None:
+    big = tmp_path / "big.csv"
+    if where == "header":
+        big.write_text(f"x1,{OVERSIZED_CELL}\n1,2\n3,4\n4,5\n")
+    else:
+        big.write_text(f"x1,y\n1,2\n{OVERSIZED_CELL},3\n4,5\n")
+    argv = _reading_argv(tmp_path, command, str(big))
+    capsys.readouterr()
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and str(big) in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_non_utf8_model_is_one_line_usage_error(tmp_path, capsys) -> None:

@@ -255,10 +255,10 @@ class TestSharedReaderRules:
 
 
 # Each text runs through the public readers and through the per-row rules
-# (``_read_csv`` + ``_parse_columns``), which are the reference: the block
-# parse must not change a matrix, a count, a note or an error.  Headers end
-# in the target ``y``, so ``load_csv``'s X and y side by side are the
-# reference matrix over every column.
+# over the whole body (``_parse_piece`` made to reject every piece), which
+# are the reference: the block parse must not change a matrix, a count, a
+# note or an error.  Headers end in the target ``y``, so ``load_csv``'s X
+# and y side by side are the reference matrix over every column.
 READER_CORPUS = {
     "clean": "a,b,y\n1,2,3\n4,5,6\n7,8,9\n",
     "crlf": "a,b,y\r\n1,2,3\r\n4,5,6\r\n",
@@ -315,9 +315,10 @@ def _outcome(read, caplog):
     return result, [r.getMessage() for r in caplog.records], error
 
 
-def _per_row(path, choose):
-    header, body = data_io._read_csv(path)
-    return data_io._parse_columns(path, header, body, choose(header))
+def _per_row(monkeypatch, path, choose):
+    with monkeypatch.context() as patched:
+        patched.setattr(data_io, "_parse_piece", lambda text, width: None)
+        return data_io._load_columns(path, choose)[1:]
 
 
 # Small pieces put piece ends between most rows and inside quoted cells.
@@ -332,7 +333,7 @@ def test_block_parse_matches_per_row_rules(
     read, choose = CORPUS_READERS[reader]
     got, got_notes, got_error = _outcome(lambda: read(path), caplog)
     ref, ref_notes, ref_error = _outcome(
-        lambda: _per_row(path, choose), caplog
+        lambda: _per_row(monkeypatch, path, choose), caplog
     )
     assert got_error == ref_error
     assert got_notes == ref_notes
@@ -347,9 +348,9 @@ def test_clean_file_skips_per_row_rules(tmp_path, monkeypatch) -> None:
     def refuse(*args):
         raise AssertionError("per-row reader called on a clean file")
 
-    monkeypatch.setattr(data_io, "_read_csv", refuse)
-    monkeypatch.setattr(data_io, "_parse_columns", refuse)
+    monkeypatch.setattr(data_io, "_non_blank", refuse)
     monkeypatch.setattr(data_io, "_chosen_cells", refuse)
+    monkeypatch.setattr(data_io, "_no_finite_row", refuse)
     path = write_csv(tmp_path / "d.csv", "a,b,y\n1,2,3\nnan,5,6\n7,8,9\n")
     data = load_csv(path, "y")
     np.testing.assert_array_equal(data.X, [[1, 2], [7, 8]])
@@ -362,7 +363,9 @@ def test_clean_file_skips_per_row_rules(tmp_path, monkeypatch) -> None:
 def test_bad_row_reparses_only_from_its_piece(tmp_path, monkeypatch) -> None:
     text = "a,b,y\n" + "".join(f"{i},{i},{i}\n" for i in range(40))
     path = write_csv(tmp_path / "d.csv", text + "1,NA,3\n5,6,7\n")
-    ref_matrix, ref_dropped = _per_row(path, lambda header: [0, 1, 2])
+    ref_matrix, ref_dropped = _per_row(
+        monkeypatch, path, lambda header: [0, 1, 2]
+    )
     seen = []
     chosen_cells = data_io._chosen_cells
 
@@ -371,11 +374,11 @@ def test_bad_row_reparses_only_from_its_piece(tmp_path, monkeypatch) -> None:
         return chosen_cells(header, body, cols)
 
     def refuse(*args):
-        raise AssertionError("whole file read again by the per-row rules")
+        raise AssertionError("file read again after a piece was rejected")
 
     monkeypatch.setattr(data_io, "_PIECE_CHARS", 16)
     monkeypatch.setattr(data_io, "_chosen_cells", counting)
-    monkeypatch.setattr(data_io, "_read_csv", refuse)
+    monkeypatch.setattr(data_io, "_no_finite_row", refuse)
     data = load_csv(path, "y")
     assert sum(seen) <= 4  # the bad row's piece and the row after it
     assert np.array_equal(np.column_stack([data.X, data.y]), ref_matrix)

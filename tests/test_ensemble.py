@@ -260,12 +260,17 @@ class TestSerialization:
 
     def test_save_and_load(self, tmp_path) -> None:
         X, y = training_data(seed=12)
-        model = fit(X, y, small_config(), column_names=["a", "b", "c"])
+        model = fit(X, y, small_config(), column_names=["a", "b", "c", "y"])
         path = tmp_path / "model.json"
         save_model(model, str(path))
         loaded = load_model(str(path))
         assert to_json_text(loaded) == to_json_text(model)
-        assert loaded.column_names == ["a", "b", "c"]
+        assert loaded.column_names == ["a", "b", "c", "y"]
+
+    def test_fit_refuses_names_a_load_would_refuse(self) -> None:
+        X, y = training_data(seed=12)
+        with pytest.raises(ConfigError, match="column_names"):
+            fit(X, y, small_config(), column_names=["a", "b", "c"])
 
     def test_rejects_unknown_format(self) -> None:
         with pytest.raises(ConfigError):

@@ -119,8 +119,8 @@ class TestFitSingleIndex:
     def setup_method(self) -> None:
         self.kv = make_uniform_knots(8, 3)
 
-    def opts(self, seed: int = 0, **kw) -> SingleIndexOptions:
-        return SingleIndexOptions(rng=np.random.default_rng(seed), **kw)
+    def opts(self, seed: int = 0) -> SingleIndexOptions:
+        return SingleIndexOptions(rng=np.random.default_rng(seed))
 
     def test_constant_residuals_reproduced_exactly(self) -> None:
         rng = np.random.default_rng(2)
