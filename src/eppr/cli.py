@@ -200,58 +200,63 @@ class BenchmarkReport:
         return [v for v in self.values if v is not None]
 
     def render(self) -> str:
+        name = self.metric_name
+        with_base = self.baseline_values is not None
+        # One pass over the repeats: each gives its table row and its
+        # [machine] values, "failed" where a metric is undefined.
+        rows, machine, machine_base = [], [], []
+        for i, value in enumerate(self.values):
+            base = self.baseline_values[i] if with_base else None
+            if value is None:
+                row = f"{i + 1:>6}  {'-':>7}  {'failed':>12}"
+                base_cell, note = "-", f"   ({self.errors[i]})"
+            else:
+                row = f"{i + 1:>6}  {self.k_means[i]:>7.2f}  {value:>12.6f}"
+                base_cell = "-" if base is None else f"{base:.6f}"
+                note = ""
+            if with_base:
+                row += f"  {base_cell:>16}"
+            rows.append(row + note)
+            machine.append("failed" if value is None else repr(value))
+            machine_base.append("failed" if base is None else repr(base))
+
+        header = f"{'repeat':>6}  {'k_mean':>7}  {name:>12}"
+        if with_base:
+            header += f"  {'baseline_' + name:>16}"
         lines = [
             "ensemble projection pursuit benchmark",
             f"data: {self.data_label}",
-            f"task: {self.task}   metric: {self.metric_name}",
+            f"task: {self.task}   metric: {name}",
             f"repeats: {self.repeats}   seed: {self.seed}",
             f"split: {self.n_train} train / {self.n_test} test",
             "",
+            header,
+            *rows,
+            "",
         ]
-        header = f"{'repeat':>6}  {'k_mean':>7}  {self.metric_name:>12}"
-        if self.baseline_values is not None:
-            header += f"  {'baseline_' + self.metric_name:>16}"
-        lines.append(header)
-        for i in range(self.repeats):
-            if self.values[i] is None:
-                row = f"{i + 1:>6}  {'-':>7}  {'failed':>12}"
-                if self.baseline_values is not None:
-                    row += f"  {'-':>16}"
-                row += f"   ({self.errors[i]})"
-            else:
-                row = f"{i + 1:>6}  {self.k_means[i]:>7.2f}  {self.values[i]:>12.6f}"
-                if self.baseline_values is not None:
-                    base = self.baseline_values[i]
-                    row += (
-                        f"  {base:>16.6f}" if base is not None else f"  {'-':>16}"
-                    )
-            lines.append(row)
-        lines.append("")
-
         good = self.successful()
         base_good = [v for v in self.baseline_values or [] if v is not None]
         if good:
             mean = float(np.mean(good))
             std = float(np.std(good))
             lines.append(
-                f"summary: {self.metric_name} mean {mean:.6f}  std {std:.6f}"
+                f"summary: {name} mean {mean:.6f}  std {std:.6f}"
                 f"  over {len(good)} repeat(s)"
             )
         else:
             lines.append("summary: no successful repeats")
         if base_good:
+            base_mean = float(np.mean(base_good))
             lines.append(
-                f"baseline: {self.metric_name} mean "
-                f"{float(np.mean(base_good)):.6f}  std "
+                f"baseline: {name} mean {base_mean:.6f}  std "
                 f"{float(np.std(base_good)):.6f}"
             )
         lines.append("")
 
-        lines.append("[machine]")
         kv = {
             "data": self.data_label,
             "task": self.task,
-            "metric": self.metric_name,
+            "metric": name,
             "repeats": self.repeats,
             "seed": self.seed,
             "n_train": self.n_train,
@@ -259,26 +264,18 @@ class BenchmarkReport:
         }
         for key in sorted(self.config_snapshot):
             kv[f"config_{key}"] = self.config_snapshot[key]
-        for i in range(self.repeats):
-            value = self.values[i]
-            kv[f"{self.metric_name}_repeat_{i + 1}"] = (
-                "failed" if value is None else repr(value)
-            )
+        for i, value in enumerate(machine):
+            kv[f"{name}_repeat_{i + 1}"] = value
         if good:
-            kv[f"{self.metric_name}_mean"] = repr(mean)
-            kv[f"{self.metric_name}_std"] = repr(std)
-        if self.baseline_values is not None:
-            for i in range(self.repeats):
-                base = self.baseline_values[i]
-                kv[f"baseline_{self.metric_name}_repeat_{i + 1}"] = (
-                    "failed" if base is None else repr(base)
-                )
+            kv[f"{name}_mean"] = repr(mean)
+            kv[f"{name}_std"] = repr(std)
+        if with_base:
+            for i, value in enumerate(machine_base):
+                kv[f"baseline_{name}_repeat_{i + 1}"] = value
         if base_good:
-            kv[f"baseline_{self.metric_name}_mean"] = repr(
-                float(np.mean(base_good))
-            )
-        for key, value in kv.items():
-            lines.append(f"{key}={value}")
+            kv[f"baseline_{name}_mean"] = repr(base_mean)
+        lines.append("[machine]")
+        lines.extend(f"{key}={value}" for key, value in kv.items())
         lines.append("")
         return "\n".join(lines)
 

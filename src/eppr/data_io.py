@@ -34,7 +34,7 @@ class ColumnScaling:
     """Per-column affine map of the training range onto [-1, 1].
 
     Columns that were constant in training map to 0; out-of-range values
-    are clamped at apply time.
+    are clamped at apply time, also those so far out that they overflow.
     """
 
     lo: np.ndarray
@@ -50,9 +50,9 @@ class ColumnScaling:
         span = self.hi - self.lo
         out = np.zeros_like(X)
         live = span > 0.0
-        out[:, live] = np.clip(
-            2.0 * (X[:, live] - self.lo[live]) / span[live] - 1.0, -1.0, 1.0
-        )
+        with np.errstate(over="ignore"):
+            scaled = 2.0 * (X[:, live] - self.lo[live]) / span[live] - 1.0
+        out[:, live] = np.clip(scaled, -1.0, 1.0)
         return out
 
 

@@ -153,7 +153,9 @@ def fit(
     the calling thread.  ``workers`` is accepted and has no effect: a
     member fit is Python-bound under the interpreter lock, so a thread
     pool ran slower than this loop, and a process pool adds a whole child
-    interpreter to peak memory.
+    interpreter to peak memory.  Non-finite data, a predictor whose
+    max - min overflows float64 and a response whose mean or sum of
+    squares overflows raise ``NumericError`` before any member is fitted.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -167,6 +169,15 @@ def fit(
     )
 
     scaling = ColumnScaling.fit(X)
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(~np.isfinite(scaling.hi - scaling.lo))
+        centred = y - np.mean(y)
+        total_ss = float(centred @ centred)
+    if wide.size:
+        column = repr(names[wide[0]]) if names else f"column {wide[0]}"
+        raise NumericError(f"predictor {column}: max - min overflows float64")
+    if not math.isfinite(total_ss):
+        raise NumericError("response mean or sum of squares overflows float64")
     Xs = scaling.transform(X)
     kv = make_uniform_knots(config.J, config.degree)
     data = RunData(X=Xs, y=y, kv=kv)
@@ -237,8 +248,9 @@ def from_json_text(text: str) -> EnsembleModel:
     wrong value types, a number that is not finite or overflows, no
     members, subset indices outside the stored predictor count, weight
     count or ``k`` that disagrees with the ridge count, ``column_names``
-    other than null or one string per predictor and one for the target)
-    raises ``ConfigError``.
+    other than null or one string per predictor and one for the target,
+    a scaling range that is reversed or overflows, predictions that could
+    overflow, a truncation that is not positive) raises ``ConfigError``.
     """
     try:
         doc = json.loads(text, parse_float=_finite_float,
@@ -260,16 +272,40 @@ def _finite_float(literal: str) -> float:
     return value
 
 
+def _floats(values) -> np.ndarray:
+    """A list of model numbers as floats, refusing a ``null`` (read as NaN)."""
+    array = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(array)):
+        raise ConfigError("null or non-finite entry in a list of numbers")
+    return array
+
+
 def _ridge_from_dict(rdoc: dict, kv: KnotVector, p: int) -> Ridge:
     subset = np.asarray(rdoc["subset"], dtype=int)
     if np.any((subset < 0) | (subset >= p)):
         raise ConfigError(f"ridge subset {subset.tolist()} outside 0..{p - 1}")
     return Ridge(
         subset=subset,
-        theta=np.asarray(rdoc["theta"], dtype=float),
+        theta=_floats(rdoc["theta"]),
         scaler=ProjectionScaler(rdoc["scaler_lo"], rdoc["scaler_hi"]),
-        coeffs=np.asarray(rdoc["coeffs"], dtype=float),
+        coeffs=_floats(rdoc["coeffs"]),
         knots=kv,
+    )
+
+
+def _output_bound(members: list[PprModel]) -> float:
+    """A bound on |sum of the members' outputs| over every input.
+
+    A spline value lies within the range of its coefficients, because the
+    basis is non-negative and sums to one.  Python floats overflow to inf
+    without a warning.
+    """
+    return sum(
+        abs(member.intercept) + sum(
+            abs(w) * float(np.abs(ridge.coeffs).max())
+            for w, ridge in zip(member.weights.tolist(), member.ridges)
+        )
+        for member in members
     )
 
 
@@ -279,19 +315,25 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
     config = FitConfig(**doc["config"])
     config.validate()
     scaling = ColumnScaling(
-        lo=np.asarray(doc["feature_scaling"]["lo"], dtype=float),
-        hi=np.asarray(doc["feature_scaling"]["hi"], dtype=float),
+        lo=_floats(doc["feature_scaling"]["lo"]),
+        hi=_floats(doc["feature_scaling"]["hi"]),
     )
     p = scaling.lo.size
     if scaling.lo.shape != (p,) or scaling.hi.shape != (p,):
         raise ConfigError("feature scaling bounds must be equal-length lists")
+    with np.errstate(over="ignore"):
+        span = scaling.hi - scaling.lo
+    if not np.all(np.isfinite(span)):
+        raise ConfigError("feature scaling range hi - lo overflows float64")
+    if np.any(span < 0.0):
+        raise ConfigError("feature scaling has lo > hi")
     kv = make_uniform_knots(config.J, config.degree)
     if not doc["members"]:
         raise ConfigError("model has no members")
     members = []
     for mdoc in doc["members"]:
         ridges = [_ridge_from_dict(rdoc, kv, p) for rdoc in mdoc["ridges"]]
-        weights = np.asarray(mdoc["weights"], dtype=float)
+        weights = _floats(mdoc["weights"])
         if weights.shape != (len(ridges),):
             raise ConfigError(
                 f"member has {weights.size} weight(s) for {len(ridges)} ridges"
@@ -311,8 +353,12 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
                 sse_trace=[float(s) for s in mdoc["sse_trace"]],
             )
         )
+    if not math.isfinite(_output_bound(members)):
+        raise ConfigError("model predictions could overflow float64")
     names = _column_names(doc.get("column_names"), p)
     truncation = doc.get("truncation")
+    if truncation is not None and not float(truncation) > 0.0:
+        raise ConfigError("truncation must be null or a number > 0")
     return EnsembleModel(
         config=config,
         members=members,

@@ -42,6 +42,8 @@ class ProjectionScaler:
     def __post_init__(self) -> None:
         if not (self.hi > self.lo):
             raise ConfigError("scaler requires hi > lo")
+        if not math.isfinite(self.hi - self.lo):
+            raise ConfigError("scaler range hi - lo overflows float64")
 
     def transform(self, z: np.ndarray | float) -> np.ndarray | float:
         # clip(2 (z - lo) / (hi - lo) - 1, -1, 1), one step at a time in
@@ -79,7 +81,9 @@ class Ridge:
             raise ConfigError("subset and theta must be matching vectors")
         if subset.size and np.any(np.diff(subset) <= 0):
             raise ConfigError("subset indices must be strictly increasing")
-        if abs(float(theta @ theta) - 1.0) > 1e-8:
+        with np.errstate(over="ignore"):  # a huge entry fails as inf
+            norm2 = float(theta @ theta)
+        if abs(norm2 - 1.0) > 1e-8:
             raise ConfigError("theta must have unit norm")
         if coeffs.shape != (self.knots.basis_count,):
             raise ConfigError("coefficient count must match the spline basis")
@@ -88,7 +92,11 @@ class Ridge:
 def ridge_design_block(ridge: Ridge, X: np.ndarray) -> np.ndarray:
     """Spline design matrix of the ridge's projections, one row per sample."""
     z = X[:, ridge.subset] @ ridge.theta
-    v = np.asarray(ridge.scaler.transform(z), dtype=float)
+    # A new row's projection may lie far outside the scaler's training
+    # range; where the scaled value overflows to +-inf, the clamp maps it
+    # to +-1.
+    with np.errstate(over="ignore"):
+        v = np.asarray(ridge.scaler.transform(z), dtype=float)
     return basis_matrix(ridge.knots, v)
 
 

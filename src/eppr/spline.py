@@ -9,6 +9,11 @@ t = (v - T[span]) / (T[span+1] - T[span]) weights the span's table, and the
 ``degree + 1`` results are scattered into a dense row whose other entries
 are exactly zero.
 
+The tables are stored points-last, indexed [Bernstein index, local
+function, span], so gathering the spans of n points gives a block with n
+last and every inner loop of the evaluation runs along the n points, not
+along the d + 1 entries of one point (4 for the default cubic).
+
 One-sided limits: at an interior knot the basis takes its right limit; at
 v = 1 it takes its left limit, so the clamped endpoint value is 1 for the
 last basis function (and exactly 1 for the first one at v = -1).
@@ -79,7 +84,7 @@ class KnotVector:
         object.__setattr__(self, "_span_lo", knots[d:J])
         object.__setattr__(self, "_span_width", width)
         object.__setattr__(self, "_inner_knots", knots[d + 1:J])
-        object.__setattr__(self, "_local_cols", np.arange(d + 1))
+        object.__setattr__(self, "_local_cols", np.arange(d + 1)[:, None])
         object.__setattr__(self, "_value_table", values)
         object.__setattr__(self, "_deriv_table", derivs)
 
@@ -106,11 +111,13 @@ def _span_tables(
 
     Runs the Cox-de Boor recurrence on coefficient arrays instead of point
     values: the weight (v - T[j]) / (T[j+k] - T[j]) is linear on a span, so
-    each stage multiplies the previous one by a linear polynomial.  Tables
-    are indexed [span - degree, Bernstein index, local function]; local
-    function a on span s is B_{s-d+a}.  The end coefficients are formed by
-    the same operations as point evaluation at the span ends, which keeps
-    the endpoint rows exactly one-hot.  The binomial factors are folded in.
+    each stage multiplies the previous one by a linear polynomial.  The
+    recurrence runs on [span - degree, Bernstein index, local function];
+    the returned tables are contiguous copies indexed [Bernstein index,
+    local function, span - degree].  Local function a on span s is
+    B_{s-d+a}.  The end coefficients are formed by the same operations as
+    point evaluation at the span ends, which keeps the endpoint rows
+    exactly one-hot.  The binomial factors are folded in.
     """
     spans = np.arange(d, basis_count)
     lo, hi = T[spans], T[spans + 1]
@@ -146,10 +153,10 @@ def _span_tables(
             derivs[:, :, a] -= d / den * lower[:, :, a]
     derivs *= _binomials(d - 1)[:, None]
     stage *= _binomials(d)[:, None]
-    width = hi - lo
-    for arr in (width, stage, derivs):
+    out = hi - lo, *(a.transpose(1, 2, 0).copy() for a in (stage, derivs))
+    for arr in out:
         arr.setflags(write=False)
-    return width, stage, derivs
+    return out
 
 
 def _binomials(n: int) -> np.ndarray:
@@ -195,16 +202,17 @@ def _check_points(v: np.ndarray) -> np.ndarray:
 def _bernstein(t: np.ndarray, degree: int) -> np.ndarray:
     """Rows t**i (1 - t)**(degree - i), i = 0..degree (no binomial factor).
 
-    Only products are formed, so t = 0 and t = 1 give exact unit rows.
+    One contiguous row per i, shape ``(degree + 1, len(t))``.  Only products
+    are formed, so t = 0 and t = 1 give exact unit rows.
     """
     u = 1.0 - t
-    out = np.empty((t.size, degree + 1))
-    out[:, 0] = 1.0
+    out = np.empty((degree + 1, t.size))
+    out[0] = 1.0
     for i in range(1, degree + 1):
-        np.multiply(out[:, i - 1], t, out=out[:, i])
+        np.multiply(out[i - 1], t, out=out[i])
     rev = u
     for i in range(degree - 1, -1, -1):
-        out[:, i] *= rev
+        out[i] *= rev
         if i:
             rev = rev * u
     return out
@@ -216,20 +224,24 @@ def _evaluate(kv: KnotVector, v: np.ndarray, table: np.ndarray) -> np.ndarray:
     The span of v counts the interior knots <= v, so an interior knot takes
     its right limit and v = 1 stays on the last span (its left limit).
     Only the ``degree + 1`` functions non-zero on that span are evaluated;
-    every other entry is exactly 0.
+    every other entry is exactly 0.  The gather, the Bernstein rows and the
+    contraction keep the point axis last and contiguous, so numpy's inner
+    loops run along the points.  The contraction still sums over the
+    Bernstein index k in order, so every value has the bits a points-first
+    layout gives.
     """
     J = kv.basis_count
     first = kv._inner_knots.searchsorted(v, side="right")
     t = v - kv._span_lo.take(first)
     t /= kv._span_width.take(first)
     local = np.einsum(
-        "nk,nkj->nj",
-        _bernstein(t, table.shape[1] - 1),
-        table.take(first, axis=0),
+        "kn,kjn->jn",
+        _bernstein(t, table.shape[0] - 1),
+        table.take(first, axis=2),
     )
     out = np.zeros((v.size, J))
     first += np.arange(0, v.size * J, J)  # flat index of each row's span
-    out.reshape(-1)[first[:, None] + kv._local_cols] = local
+    out.reshape(-1)[first + kv._local_cols] = local
     return out
 
 

@@ -1,7 +1,10 @@
 """Command line interface: metrics, scenarios, subcommands, exit codes."""
 
+import copy
 import json
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,6 +477,26 @@ def _overflowing_int_intercept(doc: dict) -> None:
     doc["members"][0]["intercept"] = 10 ** 400
 
 
+def _overflowing_scaler_range(doc: dict) -> None:
+    doc["members"][0]["ridges"][0]["scaler_lo"] = -1e308
+    doc["members"][0]["ridges"][0]["scaler_hi"] = 1e308
+
+
+def _overflowing_scaling_range(doc: dict) -> None:
+    doc["feature_scaling"]["lo"][0] = -1e308
+    doc["feature_scaling"]["hi"][0] = 1e308
+
+
+def _reversed_scaling_range(doc: dict) -> None:
+    scaling = doc["feature_scaling"]
+    scaling["lo"][0], scaling["hi"][0] = scaling["hi"][0], scaling["lo"][0]
+
+
+def _negative_truncation(doc: dict) -> None:
+    # A clip to [1, -1] would turn every prediction into -1.
+    doc["truncation"] = -1.0
+
+
 def _column_names_object(doc: dict) -> None:
     doc["column_names"] = {"x1": 0}
 
@@ -499,8 +522,10 @@ OVERFLOW = "1e999"
     [_drop_theta, _unknown_config_field, _subset_beyond_p, _extra_weight,
      _short_scaling_bound, _no_members, _k_exceeds_ridges, _nan_theta,
      _infinite_coeff, _minus_infinite_scaling, _overflowing_weight,
-     _overflowing_int_intercept, _column_names_object, _column_names_number,
-     _column_names_one_short, _column_names_not_strings],
+     _overflowing_int_intercept, _overflowing_scaler_range,
+     _overflowing_scaling_range, _reversed_scaling_range, _negative_truncation,
+     _column_names_object, _column_names_number, _column_names_one_short,
+     _column_names_not_strings],
 )
 def test_malformed_model_is_one_line_usage_error(
     tmp_path, capsys, mutate
@@ -519,6 +544,109 @@ def test_malformed_model_is_one_line_usage_error(
     assert code == EXIT_USAGE
     assert _one_error_line(capsys.readouterr().err)
     assert not (tmp_path / "p.csv").exists()
+
+
+def _overflowing_column(lines: list[str], column: int, cells) -> list[str]:
+    rows = [line.split(",") for line in lines]
+    for row, cell in zip(rows[1:], cells):
+        row[column] = cell
+    return [",".join(row) for row in rows]
+
+
+@pytest.mark.parametrize("case", ["x1_range", "y_mean", "y_spread"])
+def test_train_refuses_ranges_that_overflow(tmp_path, capfd, case) -> None:
+    """One error line and exit 4: no warning, no LAPACK message, no model."""
+    data = tmp_path / "wide.csv"
+    synth = Path(synth_file(tmp_path, scenario="ppr3", n=120, p=9))
+    lines = synth.read_text().splitlines()
+    if case == "x1_range":
+        lines = _overflowing_column(lines, 0, ["-1e308", "1e308"])
+    elif case == "y_mean":
+        lines = _overflowing_column(lines, -1, ["1.5e308"] * 120)
+    else:
+        lines = _overflowing_column(lines, -1, ["1e200", "-1e200"] * 60)
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.json"
+    capfd.readouterr()
+    code = main(["train", "--data", str(data), "--target", "y",
+                 "--out", str(out), "--B", "1", "--kmax", "2"])
+    assert code == EXIT_NUMERIC
+    assert _one_error_line(capfd.readouterr().err)
+    assert not out.exists()
+
+
+# Each field of a model is dropped or set to each of these in turn.
+_DROP = object()
+FUZZ_VALUES = [_DROP, None, "x", [], {}, -1, 1e308, -1e308]
+
+
+def _key_paths(node, path: tuple = ()):
+    """Every key and list index below ``node``, parents before children."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+def _mutated(doc: dict, path: tuple, value) -> dict:
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def test_model_field_mutation_fuzz(tmp_path, capsys) -> None:
+    """Every field of a small model dropped or retyped, one at a time.
+
+    ``predict`` either writes one finite prediction per row, or ends in
+    exit 2 or 3 with exactly one ``error:`` line and no output file.  A
+    warning or an exception escaping ``main`` is a failure.
+    """
+    data = synth_file(tmp_path, scenario="ppr3", n=120, p=9)
+    model_path = tmp_path / "model.json"
+    out = tmp_path / "p.csv"
+    assert main(["train", "--data", data, "--target", "y",
+                 "--out", str(model_path), "--B", "1", "--kmax", "1",
+                 "--stopping", "fixed_k"]) == EXIT_OK
+    doc = json.loads(model_path.read_text())
+    argv = ["predict", "--model", str(model_path), "--data", data,
+            "--out", str(out)]
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in _key_paths(doc):
+            for value in FUZZ_VALUES:
+                case = (path, "drop" if value is _DROP else value)
+                model_path.write_text(json.dumps(_mutated(doc, path, value)))
+                if out.exists():
+                    out.unlink()
+                capsys.readouterr()
+                try:
+                    code = main(argv)
+                except Exception as exc:  # main must map every error to a code
+                    failures.append((*case, repr(exc)))
+                    continue
+                err = capsys.readouterr().err
+                if code == EXIT_OK:
+                    lines = out.read_text().splitlines()
+                    values = np.array(lines[1:], dtype=float)
+                    if values.size != 120 or not np.all(np.isfinite(values)):
+                        failures.append((*case, "non-finite predictions"))
+                elif code not in (EXIT_USAGE, EXIT_IO):
+                    failures.append((*case, f"exit {code}: {err}"))
+                elif not _one_error_line(err) or out.exists():
+                    failures.append((*case, err))
+    assert not failures, failures
 
 
 def _reading_argv(tmp_path, command: str, data: str) -> list[str]:

@@ -114,7 +114,11 @@ class TestKernelMatchesReference:
 
 
 def reference_evaluate(kv: KnotVector, v: np.ndarray, table) -> np.ndarray:
-    """The span-local evaluation as first written, with numpy's wrappers."""
+    """The span-local evaluation as first written, with numpy's wrappers.
+
+    It contracts points-first, over the [span, Bernstein index, local
+    function] layout the tables had before they were stored points-last.
+    """
     from eppr.spline import _bernstein
 
     d = kv.degree
@@ -123,8 +127,8 @@ def reference_evaluate(kv: KnotVector, v: np.ndarray, table) -> np.ndarray:
     t = (v - np.take(kv.knots[d:J], first)) / np.take(kv._span_width, first)
     local = np.einsum(
         "nk,nkj->nj",
-        _bernstein(t, table.shape[1] - 1),
-        np.take(table, first, axis=0),
+        _bernstein(t, table.shape[0] - 1).T,
+        np.take(table.transpose(2, 0, 1), first, axis=0),
     )
     out = np.zeros((v.size, J))
     cols = (np.arange(0, v.size * J, J) + first)[:, None] + np.arange(d + 1)
@@ -133,7 +137,7 @@ def reference_evaluate(kv: KnotVector, v: np.ndarray, table) -> np.ndarray:
 
 
 @pytest.mark.parametrize("degree", [1, 3, 5])
-@pytest.mark.parametrize("spans", [1, 9])
+@pytest.mark.parametrize("spans", [1, 9, 27])
 class TestKernelMatchesWrappedKernel:
     """Bit for bit the evaluation before numpy's wrappers were stripped."""
 
@@ -144,6 +148,8 @@ class TestKernelMatchesWrappedKernel:
             "knots": np.unique(kv.knots),
             "ends": np.array([-1.0, 1.0, 1.0, -1.0]),
             "random": rng.uniform(-1.0, 1.0, 2_000),
+            # The batch size predict evaluates per ridge.
+            "bulk": rng.uniform(-1.0, 1.0, 20_000),
         }
 
     @pytest.mark.parametrize("kind", ["value", "deriv"])
