@@ -115,10 +115,11 @@ def _fit_candidates(
     residuals: np.ndarray,
     config,
     state: RunState,
-) -> tuple[Ridge, float] | None:
+) -> Ridge | None:
     """Best single-index fit over the candidate subsets, or ``None``.
 
-    Candidates failing numerically are skipped; configuration errors
+    A candidate whose fit raises a numeric error or gives a non-finite SSE
+    is skipped, and ``None`` means all were; configuration errors
     propagate.  Ties break toward the earliest candidate.
     """
     subsets = select_candidate_subsets(
@@ -137,9 +138,12 @@ def _fit_candidates(
             continue
         if best is None or sse < best[0]:
             best = (sse, ridge)
-    if best is None:
-        return None
-    return best[1], best[0]
+    return None if best is None else best[1]
+
+
+def _zero_ridge(data: RunData, config) -> Ridge:
+    """The term appended when no candidate fits: exactly 0 everywhere."""
+    return _constant_ridge(np.arange(config.q), config.q, data.kv, 0.0)
 
 
 def _record_step(state: RunState, config, data: RunData) -> None:
@@ -166,16 +170,14 @@ def greedy_step_aga(state: RunState, data: RunData, config) -> RunState:
     later solves are never damped harder than earlier ones.
     """
     residuals = state.yc - state.fitted
-    found = _fit_candidates(data, residuals, config, state)
-    if found is None:
-        state.ridges.append(
-            _constant_ridge(np.arange(config.q), config.q, data.kv, 0.0)
-        )
+    ridge = _fit_candidates(data, residuals, config, state)
+    if ridge is None:
+        # A zero block, so the joint refit keeps this term at zero.
+        state.ridges.append(_zero_ridge(data, config))
         state.design_blocks.append(
             np.zeros((data.X.shape[0], data.kv.basis_count))
         )
     else:
-        ridge, _ = found
         state.ridges.append(ridge)
         state.design_blocks.append(ridge_design_block(ridge, data.X))
 
@@ -208,24 +210,18 @@ def greedy_step_oga(state: RunState, data: RunData, config) -> RunState:
     ties), so the residual norm cannot increase.
     """
     residuals = state.yc - state.fitted
-    found = _fit_candidates(data, residuals, config, state)
-    n = data.X.shape[0]
-    if found is None:
-        state.ridges.append(
-            _constant_ridge(np.arange(config.q), config.q, data.kv, 0.0)
-        )
-        state.oga_columns.append(np.zeros(n))
-    else:
-        ridge, _ = found
-        values = eval_ridge_batch(ridge, data.X)
-        norm = math.sqrt(float(values @ values) / n)
-        if norm > _OGA_NORM_FLOOR:
-            ridge = replace(ridge, coeffs=ridge.coeffs / norm)
-            values = values / norm
-        # Below the floor the column stays as-is; the minimum-norm refit
-        # pins its multiplier near zero.
-        state.ridges.append(ridge)
-        state.oga_columns.append(values)
+    ridge = _fit_candidates(data, residuals, config, state)
+    if ridge is None:
+        ridge = _zero_ridge(data, config)
+    values = eval_ridge_batch(ridge, data.X)
+    norm = math.sqrt(float(values @ values) / data.X.shape[0])
+    if norm > _OGA_NORM_FLOOR:
+        ridge = replace(ridge, coeffs=ridge.coeffs / norm)
+        values = values / norm
+    # Below the floor (the zero ridge too) the column stays as-is; the
+    # minimum-norm refit pins its multiplier near zero.
+    state.ridges.append(ridge)
+    state.oga_columns.append(values)
 
     columns = np.column_stack(state.oga_columns)
     sol = solve_ridge_ls(columns, state.yc, damping=0.0)
@@ -244,13 +240,10 @@ def greedy_step_rga(state: RunState, data: RunData, config) -> RunState:
     k = len(state.ridges) + 1
     alpha = relaxation_weight(k)
     residuals = state.yc - alpha * state.fitted
-    found = _fit_candidates(data, residuals, config, state)
-    if found is None:
-        ridge = _constant_ridge(np.arange(config.q), config.q, data.kv, 0.0)
-        values = np.zeros(data.X.shape[0])
-    else:
-        ridge, _ = found
-        values = eval_ridge_batch(ridge, data.X)
+    ridge = _fit_candidates(data, residuals, config, state)
+    if ridge is None:
+        ridge = _zero_ridge(data, config)
+    values = eval_ridge_batch(ridge, data.X)
     state.ridges.append(ridge)
     state.weights = [w * alpha for w in state.weights] + [1.0]
     state.fitted = alpha * state.fitted + values

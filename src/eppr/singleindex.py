@@ -188,7 +188,11 @@ def fit_single_index(
     Multi-start alternation: (a) damped LS for the spline coefficients at
     the current direction, (b) Gauss-Newton direction update with
     step-halving, accepted only when the refitted SSE decreases.  The
-    returned SSE is the training SSE of the best start.
+    returned SSE is the training SSE of the best start (the earliest on a
+    tie).  Fallbacks: constant residuals give that constant with SSE 0; a
+    start whose projection is too narrow to scale offers the best constant;
+    a start keeps its last accepted direction when the Gauss-Newton solve
+    fails or step-halving runs out.
     """
     X_A = np.asarray(X_A, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
@@ -204,8 +208,7 @@ def fit_single_index(
     # constant spline; no direction carries information.
     spread = float(np.max(residuals) - np.min(residuals))
     if spread < 1e-14 * max(1.0, float(np.max(np.abs(residuals)))):
-        value = float(residuals[0]) if n else 0.0
-        return _constant_ridge(subset, q, kv, value), 0.0
+        return _constant_ridge(subset, q, kv, float(residuals[0])), 0.0
 
     starts: list[np.ndarray] = []
     ols = _ols_direction(X_A, residuals)
@@ -214,24 +217,12 @@ def fit_single_index(
         drawn = _unit(opts.rng.standard_normal(q))
         starts.append(drawn if drawn is not None else _first_axis_unit(q))
 
-    best: tuple[float, Ridge] | None = None
-    for theta0 in starts:
-        fitted = _fit_from_start(X_A, residuals, kv, theta0, subset)
-        if fitted is None:
-            continue
-        sse, ridge = fitted
-        if best is None or sse < best[0]:
-            best = (sse, ridge)
-
-    if best is None:
-        # Every start collapsed; fall back to the best constant.
-        value = float(np.mean(residuals))
-        centered = residuals - value
-        return (
-            _constant_ridge(subset, q, kv, value),
-            float(centered @ centered),
-        )
-    sse, ridge = best
+    # min() replaces its pick only on a strictly smaller SSE.
+    sse, ridge = min(
+        (_fit_from_start(X_A, residuals, kv, theta0, subset)
+         for theta0 in starts),
+        key=lambda fitted: fitted[0],
+    )
     return _flip_to_sign_convention(ridge), sse
 
 
@@ -247,7 +238,7 @@ def _fit_from_start(
     kv: KnotVector,
     theta0: np.ndarray,
     subset: np.ndarray,
-) -> tuple[float, Ridge] | None:
+) -> tuple[float, Ridge]:
     theta = theta0
     state = _solve_at_theta(X_A, residuals, kv, theta)
     if state is None:

@@ -1,4 +1,4 @@
-"""Clamped B-spline bases on [-1, 1] with quasi-uniform interior knots.
+"""Clamped B-spline bases on [-1, 1], uniform knots built from (J, degree).
 
 Evaluation is span-local.  Each ``KnotVector`` builds, once, the Bernstein
 coefficients of the ``degree + 1`` basis pieces that are non-zero on each
@@ -28,23 +28,19 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Largest allowed ratio between adjacent breakpoint spacings.
-_MESH_RATIO_TOL = 1.0 + 1e-12
-
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Clamped knot sequence on [-1, 1].
+    """Clamped uniform knot sequence on [-1, 1], always built here.
 
-    ``knots`` has length ``basis_count + degree + 1`` with each endpoint
-    repeated ``degree + 1`` times and ``interior_count`` knots strictly
-    inside (-1, 1).
+    ``knots`` is derived from ``(degree, basis_count)`` and read-only: each
+    endpoint repeated ``degree + 1`` times and ``interior_count`` equally
+    spaced breakpoints strictly inside (-1, 1).
     """
 
     degree: int
-    interior_count: int
-    knots: np.ndarray = field(repr=False)
     basis_count: int
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
     # Span-local tables, built once in __post_init__ (see _span_tables),
     # and the knot slices and local column offsets every evaluation reads.
     _span_lo: np.ndarray = field(init=False, repr=False, compare=False)
@@ -55,38 +51,30 @@ class KnotVector:
     _deriv_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ConfigError(f"degree must be >= 0, got {self.degree}")
-        if self.basis_count != self.interior_count + self.degree + 1:
-            raise ConfigError(
-                "basis_count must equal interior_count + degree + 1"
-            )
-        # A private, read-only copy: the span tables and the knot slices
-        # built below must keep describing the knots the vector holds.
-        knots = np.array(self.knots, dtype=float)
-        knots.setflags(write=False)
-        object.__setattr__(self, "knots", knots)
-        if knots.shape != (self.basis_count + self.degree + 1,):
-            raise ConfigError("knot sequence has the wrong length")
-        if np.any(np.diff(knots) < 0):
-            raise ConfigError("knots must be non-decreasing")
-        if not (np.all(knots[: self.degree + 1] == -1.0)
-                and np.all(knots[-(self.degree + 1):] == 1.0)):
-            raise ConfigError("endpoints must be knots of multiplicity degree + 1")
-        breaks = np.unique(knots)
-        gaps = np.diff(breaks)
-        if gaps.size > 1 and gaps.max() > gaps.min() * _MESH_RATIO_TOL:
-            raise ConfigError("interior knot spacing must be quasi-uniform")
-        width, values, derivs = _span_tables(
-            knots, self.degree, self.basis_count
-        )
         d, J = self.degree, self.basis_count
+        if d < 0:
+            raise ConfigError(f"degree must be >= 0, got {d}")
+        if J < d + 1:
+            raise ConfigError(
+                f"basis_count must be at least degree + 1, got {J}"
+            )
+        breaks = np.linspace(-1.0, 1.0, J - d + 1)
+        knots = np.concatenate(
+            [np.full(d + 1, -1.0), breaks[1:-1], np.full(d + 1, 1.0)]
+        )
+        knots.setflags(write=False)
+        width, values, derivs = _span_tables(knots, d, J)
+        object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_span_lo", knots[d:J])
         object.__setattr__(self, "_span_width", width)
         object.__setattr__(self, "_inner_knots", knots[d + 1:J])
         object.__setattr__(self, "_local_cols", np.arange(d + 1)[:, None])
         object.__setattr__(self, "_value_table", values)
         object.__setattr__(self, "_deriv_table", derivs)
+
+    @property
+    def interior_count(self) -> int:
+        return self.basis_count - self.degree - 1
 
 
 def _times_linear(
@@ -164,30 +152,11 @@ def _binomials(n: int) -> np.ndarray:
 
 
 def make_uniform_knots(basis_count: int, degree: int) -> KnotVector:
-    """Build the clamped knot vector with equally spaced breakpoints.
+    """The clamped uniform knot vector of dimension ``basis_count`` (J).
 
-    ``basis_count`` (J) is the dimension of the spline space; there are
-    ``J - degree`` polynomial pieces on [-1, 1].
+    There are ``J - degree`` polynomial pieces on [-1, 1].
     """
-    if degree < 0:
-        raise ConfigError(f"degree must be >= 0, got {degree}")
-    if basis_count < degree + 1:
-        raise ConfigError(
-            f"basis_count must be at least degree + 1, got {basis_count}"
-        )
-    pieces = basis_count - degree
-    breaks = np.linspace(-1.0, 1.0, pieces + 1)
-    knots = np.concatenate([
-        np.full(degree + 1, -1.0),
-        breaks[1:-1],
-        np.full(degree + 1, 1.0),
-    ])
-    return KnotVector(
-        degree=degree,
-        interior_count=pieces - 1,
-        knots=knots,
-        basis_count=basis_count,
-    )
+    return KnotVector(degree=degree, basis_count=basis_count)
 
 
 def _check_points(v: np.ndarray) -> np.ndarray:
