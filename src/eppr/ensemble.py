@@ -272,23 +272,36 @@ def _finite_float(literal: str) -> float:
     return value
 
 
-def _floats(values) -> np.ndarray:
-    """A list of model numbers as floats, refusing a ``null`` (read as NaN)."""
-    array = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(array)):
-        raise ConfigError("null or non-finite entry in a list of numbers")
-    return array
+def _number(value, what: str, integer: bool = False):
+    """A model number as a float, or with ``integer`` a count or an index.
+
+    JSON numbers parse to exactly int or float; a bool (an int subclass),
+    a quoted number and a ``null`` are refused, and so is a float count.
+    """
+    if type(value) not in ((int,) if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
+    return value if integer else float(value)
+
+
+def _numbers(values, what: str, integer: bool = False) -> np.ndarray:
+    """A list of model numbers, or of integers, as an array."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{what} must be a list")
+    return np.array([_number(v, what, integer) for v in values],
+                    dtype=int if integer else float)
 
 
 def _ridge_from_dict(rdoc: dict, kv: KnotVector, p: int) -> Ridge:
-    subset = np.asarray(rdoc["subset"], dtype=int)
+    subset = _numbers(rdoc["subset"], "ridge subset", integer=True)
     if np.any((subset < 0) | (subset >= p)):
         raise ConfigError(f"ridge subset {subset.tolist()} outside 0..{p - 1}")
     return Ridge(
         subset=subset,
-        theta=_floats(rdoc["theta"]),
-        scaler=ProjectionScaler(rdoc["scaler_lo"], rdoc["scaler_hi"]),
-        coeffs=_floats(rdoc["coeffs"]),
+        theta=_numbers(rdoc["theta"], "theta"),
+        scaler=ProjectionScaler(_number(rdoc["scaler_lo"], "scaler_lo"),
+                                _number(rdoc["scaler_hi"], "scaler_hi")),
+        coeffs=_numbers(rdoc["coeffs"], "coeffs"),
         knots=kv,
     )
 
@@ -313,10 +326,13 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
     if doc.get("format") != _FORMAT_TAG:
         raise ConfigError(f"unrecognized model format {doc.get('format')!r}")
     config = FitConfig(**doc["config"])
+    for name in ("q", "ell", "B", "k_max", "J", "degree", "seed"):
+        _number(getattr(config, name), f"config {name}", integer=True)
+    _number(config.nu, "config nu")
     config.validate()
     scaling = ColumnScaling(
-        lo=_floats(doc["feature_scaling"]["lo"]),
-        hi=_floats(doc["feature_scaling"]["hi"]),
+        lo=_numbers(doc["feature_scaling"]["lo"], "feature_scaling lo"),
+        hi=_numbers(doc["feature_scaling"]["hi"], "feature_scaling hi"),
     )
     p = scaling.lo.size
     if scaling.lo.shape != (p,) or scaling.hi.shape != (p,):
@@ -333,37 +349,42 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
     members = []
     for mdoc in doc["members"]:
         ridges = [_ridge_from_dict(rdoc, kv, p) for rdoc in mdoc["ridges"]]
-        weights = _floats(mdoc["weights"])
+        weights = _numbers(mdoc["weights"], "weights")
         if weights.shape != (len(ridges),):
             raise ConfigError(
                 f"member has {weights.size} weight(s) for {len(ridges)} ridges"
             )
-        if int(mdoc["k"]) != len(ridges):
-            raise ConfigError(
-                f"member has k={mdoc['k']} for {len(ridges)} ridges"
-            )
+        k = _number(mdoc["k"], "k", integer=True)
+        if k != len(ridges):
+            raise ConfigError(f"member has k={k} for {len(ridges)} ridges")
         members.append(
             PprModel(
-                intercept=float(mdoc["intercept"]),
+                intercept=_number(mdoc["intercept"], "intercept"),
                 ridges=ridges,
                 weights=weights,
                 variant=mdoc["variant"],
-                k=int(mdoc["k"]),
-                bic_trace=[(int(t), float(b)) for t, b in mdoc["bic_trace"]],
-                sse_trace=[float(s) for s in mdoc["sse_trace"]],
+                k=k,
+                bic_trace=[
+                    (_number(t, "bic_trace step", integer=True),
+                     _number(b, "bic_trace value"))
+                    for t, b in mdoc["bic_trace"]
+                ],
+                sse_trace=_numbers(mdoc["sse_trace"], "sse_trace").tolist(),
             )
         )
     if not math.isfinite(_output_bound(members)):
         raise ConfigError("model predictions could overflow float64")
     names = _column_names(doc.get("column_names"), p)
     truncation = doc.get("truncation")
-    if truncation is not None and not float(truncation) > 0.0:
-        raise ConfigError("truncation must be null or a number > 0")
+    if truncation is not None:
+        truncation = _number(truncation, "truncation")
+        if not truncation > 0.0:
+            raise ConfigError("truncation must be null or a number > 0")
     return EnsembleModel(
         config=config,
         members=members,
         feature_scaling=scaling,
-        truncation=float(truncation) if truncation is not None else None,
+        truncation=truncation,
         column_names=names,
     )
 

@@ -513,6 +513,50 @@ def _column_names_not_strings(doc: dict) -> None:
     doc["column_names"] = list(range(len(doc["column_names"])))
 
 
+# Each of these loaded and predicted once: float() parsed a quoted number,
+# numpy read true as 1.0, and int() truncated 0.9, 1.7 and true.
+def _quoted_coefficient_and_intercept(doc: dict) -> None:
+    doc["members"][0]["ridges"][0]["coeffs"][0] = "0.5"
+    doc["members"][0]["intercept"] = "0.5"
+
+
+def _quoted_truncation(doc: dict) -> None:
+    doc["truncation"] = "3.5"
+
+
+def _bool_weight(doc: dict) -> None:
+    doc["members"][0]["weights"] = [True]
+
+
+def _fractional_subset_index(doc: dict) -> None:
+    doc["members"][0]["ridges"][0]["subset"][0] = 0.9
+
+
+def _fractional_k(doc: dict) -> None:
+    doc["members"][0]["k"] = 1.7
+
+
+def _bool_k(doc: dict) -> None:
+    doc["members"][0]["k"] = True
+
+
+def _fractional_config_count(doc: dict) -> None:
+    doc["config"]["B"] = 2.5
+
+
+def _fractional_bic_step(doc: dict) -> None:
+    doc["members"][0]["bic_trace"][0][0] = 1.5
+
+
+def _bool_scaler_bounds(doc: dict) -> None:
+    doc["members"][0]["ridges"][0]["scaler_lo"] = False
+    doc["members"][0]["ridges"][0]["scaler_hi"] = True
+
+
+def _bool_nu(doc: dict) -> None:
+    doc["config"]["nu"] = True
+
+
 # Written unquoted, as a literal json.dumps cannot produce from a float.
 OVERFLOW = "1e999"
 
@@ -525,7 +569,10 @@ OVERFLOW = "1e999"
      _overflowing_int_intercept, _overflowing_scaler_range,
      _overflowing_scaling_range, _reversed_scaling_range, _negative_truncation,
      _column_names_object, _column_names_number, _column_names_one_short,
-     _column_names_not_strings],
+     _column_names_not_strings, _quoted_coefficient_and_intercept,
+     _quoted_truncation, _bool_weight, _fractional_subset_index,
+     _fractional_k, _bool_k, _fractional_config_count, _fractional_bic_step,
+     _bool_scaler_bounds, _bool_nu],
 )
 def test_malformed_model_is_one_line_usage_error(
     tmp_path, capsys, mutate
