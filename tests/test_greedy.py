@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from eppr import greedy
 from eppr.ensemble import FitConfig
-from eppr.errors import ConfigError
+from eppr.errors import ConfigError, NumericError
 from eppr.greedy import (
     RunData,
     bic_value,
@@ -325,3 +326,62 @@ class TestRunGreedy:
         with pytest.raises(ConfigError, match="samples"):
             run_greedy(data, cfg, np.random.default_rng(15))
 
+
+
+class TestCandidateFallbacks:
+    """A patched single-index fit takes each fallback of the candidate search."""
+
+    @staticmethod
+    def data() -> RunData:
+        return make_data(
+            150, 4,
+            lambda X, r: np.sin(2 * X[:, 0]) + 0.1 * r.standard_normal(150),
+            seed=23,
+        )
+
+    @pytest.mark.parametrize("variant", ["aga", "oga", "rga"])
+    def test_every_candidate_failing_appends_zero_ridges(
+        self, monkeypatch, variant
+    ) -> None:
+        calls = []
+
+        def fail(*args, **kwargs):
+            calls.append(args)
+            raise NumericError("forced")
+
+        monkeypatch.setattr(greedy, "fit_single_index", fail)
+        data = self.data()
+        cfg = make_config(variant=variant, q=2, ell=2, k_max=3)
+        model = run_greedy(data, cfg, np.random.default_rng(16))
+        assert len(calls) == 6
+        assert model.k == 3
+        for ridge in model.ridges:
+            assert np.all(ridge.coeffs == 0.0)
+            np.testing.assert_array_equal(ridge.subset, [0, 1])
+        assert np.array_equal(
+            model.predict(data.X), np.full(150, model.intercept)
+        )
+        centred = data.y - model.intercept
+        assert model.sse_trace == [float(centred @ centred)] * 3
+
+    @pytest.mark.parametrize("variant", ["aga", "oga", "rga"])
+    def test_non_finite_sse_skips_the_candidate(
+        self, monkeypatch, variant
+    ) -> None:
+        # NaN compares false both ways, so only the finiteness check keeps
+        # a first NaN candidate from beating the second.
+        real = greedy.fit_single_index
+        returned = []
+
+        def first_nan(*args, **kwargs):
+            ridge, sse = real(*args, **kwargs)
+            returned.append(ridge)
+            return ridge, float("nan") if len(returned) % 2 else sse
+
+        monkeypatch.setattr(greedy, "fit_single_index", first_nan)
+        cfg = make_config(variant=variant, q=2, ell=2, k_max=2)
+        model = run_greedy(self.data(), cfg, np.random.default_rng(17))
+        assert len(returned) == 4
+        for ridge, second in zip(model.ridges, returned[1::2]):
+            np.testing.assert_array_equal(ridge.subset, second.subset)
+            np.testing.assert_array_equal(ridge.theta, second.theta)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eppr import singleindex
 from eppr.errors import ConfigError
 from eppr.singleindex import (
     ProjectionScaler,
@@ -223,6 +224,72 @@ class TestFitSingleIndex:
         np.testing.assert_allclose(
             eval_ridge_batch(ridge, X), y.mean(), atol=1e-10
         )
+
+
+class TestStartFallbacks:
+    """Patched callees make each start stop at its first solve."""
+
+    @staticmethod
+    def fit(monkeypatch, delta=None):
+        """Fit with every step-halving candidate degenerate.
+
+        ``delta(theta)`` stands in for the Gauss-Newton step at the start
+        direction theta.  Returns the fit, each start's first solve as
+        (theta, state), and the directions of the candidate solves.
+        """
+        real_start = singleindex._fit_from_start
+        real_solve = singleindex._solve_at_theta
+        firsts: list = []
+        candidates: list = []
+
+        def start(*args):
+            firsts.append(None)
+            return real_start(*args)
+
+        def solve(X_A, residuals, kv, theta):
+            if firsts[-1] is None:
+                firsts[-1] = (theta, real_solve(X_A, residuals, kv, theta))
+                return firsts[-1][1]
+            candidates.append(theta)
+            return None
+
+        monkeypatch.setattr(singleindex, "_fit_from_start", start)
+        monkeypatch.setattr(singleindex, "_solve_at_theta", solve)
+        if delta is not None:
+            monkeypatch.setattr(
+                singleindex, "gauss_newton_delta",
+                lambda residual, jacobian: delta(firsts[-1][0]),
+            )
+        rng = np.random.default_rng(18)
+        X = rng.uniform(-1.0, 1.0, (150, 3))
+        y = np.tanh(2.0 * X[:, 0] - X[:, 2]) + 0.05 * rng.standard_normal(150)
+        ridge, sse = fit_single_index(
+            X, y, make_uniform_knots(8, 3),
+            SingleIndexOptions(rng=np.random.default_rng(19)),
+        )
+        assert len(firsts) == singleindex._N_STARTS
+        # The best start's first solve, up to the sign convention.
+        sols = [state[2] for _, state in firsts]
+        best = min(range(len(sols)), key=lambda i: sols[i].sse)
+        assert sse == sols[best].sse
+        coeffs = sols[best].coefficients
+        assert (np.array_equal(ridge.coeffs, coeffs)
+                or np.array_equal(ridge.coeffs, coeffs[::-1]))
+        return candidates
+
+    def test_failed_direction_solve_stops_the_start(self, monkeypatch) -> None:
+        assert self.fit(monkeypatch, delta=lambda theta: None) == []
+
+    def test_degenerate_candidates_exhaust_halving(self, monkeypatch) -> None:
+        candidates = self.fit(monkeypatch)
+        halvings = singleindex._MAX_HALVINGS + 1
+        assert len(candidates) == singleindex._N_STARTS * halvings
+
+    def test_zero_direction_candidate_is_skipped(self, monkeypatch) -> None:
+        # theta + (-theta) has no direction; its halvings point along theta.
+        candidates = self.fit(monkeypatch, delta=lambda theta: -theta)
+        halvings = singleindex._MAX_HALVINGS
+        assert len(candidates) == singleindex._N_STARTS * halvings
 
 
 def reference_transform(scaler: ProjectionScaler, z):
