@@ -43,8 +43,6 @@ def metric_rpe(
     """
     predictions = np.asarray(predictions, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
-    if predictions.shape != y_test.shape or predictions.ndim != 1:
-        raise ConfigError("predictions and y_test must be matching vectors")
     num = float(np.sum((predictions - y_test) ** 2))
     den = float(np.sum((y_train_mean - y_test) ** 2))
     if den == 0.0:
@@ -57,8 +55,6 @@ def metric_mr(predictions: np.ndarray, y_test: np.ndarray) -> float:
     """Misclassification rate of the strict 0.5 threshold (ties -> class 0)."""
     predictions = np.asarray(predictions, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
-    if predictions.shape != y_test.shape or predictions.ndim != 1:
-        raise ConfigError("predictions and y_test must be matching vectors")
     if not np.all((y_test == 0.0) | (y_test == 1.0)):
         raise ConfigError("classification labels must be 0 or 1")
     labels = (predictions > 0.5).astype(float)

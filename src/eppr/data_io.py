@@ -70,11 +70,11 @@ def _non_blank(rows) -> list[list[str]]:
     return [row for row in rows if any(cell.strip() for cell in row)]
 
 
-def _is_number(cell: str) -> bool:
+def _float_or_nan(cell: str) -> float:
     try:
-        return math.isfinite(float(cell))
+        return float(cell)
     except ValueError:
-        return False
+        return math.nan
 
 
 def _chosen_cells(
@@ -82,7 +82,8 @@ def _chosen_cells(
 ) -> np.ndarray:
     """Cells ``cols`` of the body rows as wide as the header, as floats.
 
-    A row is left out when one of those cells is not read by ``float()``.
+    Every row as wide as the header is kept, with NaN for a cell that
+    ``float()`` does not read, so ``_no_finite_row`` sees its other cells.
     """
     width = len(header)
     kept: list[list[float]] = []
@@ -91,7 +92,7 @@ def _chosen_cells(
             try:
                 kept.append([float(row[j]) for j in cols])
             except ValueError:
-                pass
+                kept.append([_float_or_nan(row[j]) for j in cols])
     return np.asarray(kept, dtype=float).reshape(len(kept), len(cols))
 
 
@@ -114,24 +115,18 @@ def _keep_finite(
 
 
 def _no_finite_row(
-    path: str, header: list[str], cols: list[int], handle
+    path: str, header: list[str], cols: list[int], matrix: np.ndarray
 ) -> DataError:
     """The error for a file whose chosen cells hold no finite row.
 
-    ``handle`` is read again from the start.  A chosen column that never
-    holds a finite number in a row as wide as the header is a load error
-    rather than silently encoded; otherwise the file has no usable rows.
+    ``matrix`` holds the chosen cells of every non-blank body row as wide
+    as the header, NaN where ``float()`` refused a cell.  A chosen column
+    that never holds a finite number there is a load error rather than
+    silently encoded; otherwise the file has no usable rows.
     """
-    handle.seek(0)
-    rows = csv.reader(handle)
-    next(rows)
-    width = len(header)
-    full = [row for row in _non_blank(rows) if len(row) == width]
-    never_numeric = [
-        header[j] for j in cols
-        if full and not any(_is_number(row[j]) for row in full)
-    ]
-    if never_numeric:
+    seen = np.isfinite(matrix).any(axis=0)
+    never_numeric = [header[j] for j, ok in zip(cols, seen) if not ok]
+    if matrix.shape[0] and never_numeric:
         return DataError(
             "non_numeric_column",
             f"column(s) never numeric: {', '.join(never_numeric)}",
@@ -208,11 +203,10 @@ def _load_columns(
                     break
                 parts.append(block[:, cols])
                 n_rows += block.shape[0]
-            matrix, dropped = _keep_finite(
-                path, np.concatenate(parts), n_rows
-            )
+            full = np.concatenate(parts)
+            matrix, dropped = _keep_finite(path, full, n_rows)
             if not matrix.shape[0]:
-                raise _no_finite_row(path, header, cols, handle)
+                raise _no_finite_row(path, header, cols, full)
     except FileNotFoundError:
         raise DataError("missing_file", f"no such file: {path}")
     except OSError as exc:

@@ -81,15 +81,11 @@ class RunState:
 
 def relaxation_weight(k: int) -> float:
     """Relaxation factor alpha_k = 1 - 2 / (k + 2) for step k >= 1."""
-    if k < 1:
-        raise ConfigError(f"relaxation index must be >= 1, got {k}")
     return 1.0 - 2.0 / (k + 2.0)
 
 
 def bic_value(tau: int, sse: float, n: int, q: int, J: int, nu: float) -> float:
     """BIC score sse/n + tau ln(n) (q + J^(1+nu)) / n; tau = 0 drops the penalty."""
-    if n < 1 or tau < 0:
-        raise ConfigError("bic_value requires n >= 1 and tau >= 0")
     return sse / n + tau * math.log(n) * (q + float(J) ** (1.0 + nu)) / n
 
 
@@ -101,10 +97,6 @@ def select_candidate_subsets(
     Duplicates across candidates are allowed; q = p always yields the full
     index set.
     """
-    if not (1 <= q <= p):
-        raise ConfigError(f"q must satisfy 1 <= q <= p, got q={q}, p={p}")
-    if ell < 1:
-        raise ConfigError(f"ell must be >= 1, got {ell}")
     return [
         np.sort(rng.choice(p, size=q, replace=False)) for _ in range(ell)
     ]
@@ -267,8 +259,6 @@ def run_greedy(data: RunData, config, rng: np.random.Generator) -> PprModel:
     ``k_max`` terms.  At least one term is always kept.
     """
     n, p = data.X.shape
-    if config.variant not in _STEP_FUNCTIONS:
-        raise ConfigError(f"unknown variant {config.variant!r}")
     if n <= data.kv.basis_count + config.q:
         raise ConfigError(
             "need more than J + q samples per run, got "

@@ -45,16 +45,8 @@ def solve_ridge_ls(
     system, or any failed factorization, falls back to the minimum-norm
     ``lstsq`` solution.  A damped system skips the eigenvalue check.
     """
-    design = np.asarray(design, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if design.ndim != 2 or target.ndim != 1 or design.shape[0] != target.shape[0]:
-        raise ValueError("design must be (n, m) and target (n,)")
-    if design.shape[0] < 1 or design.shape[1] < 1:
-        raise ValueError("design must have at least one row and one column")
     if not (np.isfinite(design).all() and np.isfinite(target).all()):
         raise NumericError("non-finite entries in least-squares inputs")
-    if damping is not None and damping < 0.0:
-        raise ValueError("damping must be >= 0")
 
     gram = design.T @ design
     rhs = design.T @ target

@@ -196,13 +196,9 @@ def fit_single_index(
     """
     X_A = np.asarray(X_A, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
-    n, q = X_A.shape
+    q = X_A.shape[1]
     if subset is None:
         subset = np.arange(q)
-    if n <= kv.basis_count + q:
-        raise ConfigError(
-            f"need more than J + q = {kv.basis_count + q} samples, got {n}"
-        )
 
     # Constant residuals (including all zeros) are matched exactly by a
     # constant spline; no direction carries information.

@@ -44,10 +44,6 @@ class TestMetricRpe:
         with pytest.raises(NumericError):
             metric_rpe(np.array([1.0, 3.0]), y, 2.0)
 
-    def test_shape_mismatch(self) -> None:
-        with pytest.raises(ConfigError):
-            metric_rpe(np.zeros(3), np.zeros(4), 0.0)
-
 
 class TestMetricMr:
     def test_hand_count(self) -> None:

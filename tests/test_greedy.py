@@ -57,13 +57,6 @@ class TestSelectCandidateSubsets:
         for s, t in zip(a, b):
             np.testing.assert_array_equal(s, t)
 
-    def test_invalid_sizes(self) -> None:
-        rng = np.random.default_rng(4)
-        with pytest.raises(ConfigError, match="q"):
-            select_candidate_subsets(3, 4, 1, rng)
-        with pytest.raises(ConfigError, match="ell"):
-            select_candidate_subsets(3, 2, 0, rng)
-
 
 class TestBicValue:
     def test_zero_terms_is_mean_sse(self) -> None:
@@ -86,10 +79,6 @@ class TestRelaxationWeight:
             [relaxation_weight(k) for k in (1, 2, 3)],
             [1.0 / 3.0, 0.5, 0.6],
         )
-
-    def test_requires_positive_index(self) -> None:
-        with pytest.raises(ConfigError):
-            relaxation_weight(0)
 
 
 class TestAgaRuns:

@@ -208,11 +208,6 @@ class TestFitSingleIndex:
                                     subset=subset)
         np.testing.assert_array_equal(ridge.subset, subset)
 
-    def test_too_few_samples_rejected(self) -> None:
-        X = np.zeros((10, 3))
-        with pytest.raises(ConfigError, match="samples"):
-            fit_single_index(X, np.zeros(10), self.kv, self.opts())
-
     def test_constant_columns_degenerate_to_constant_fit(self) -> None:
         # Every projection is constant, so the best ridge is the mean.
         rng = np.random.default_rng(16)
