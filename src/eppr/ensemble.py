@@ -247,10 +247,11 @@ def from_json_text(text: str) -> EnsembleModel:
     A document that does not describe a model (missing or unknown keys,
     wrong value types, a number that is not finite or overflows, no
     members, subset indices outside the stored predictor count, weight
-    count or ``k`` that disagrees with the ridge count, ``column_names``
-    other than null or one string per predictor and one for the target,
-    a scaling range that is reversed or overflows, predictions that could
-    overflow, a truncation that is not positive) raises ``ConfigError``.
+    count or ``k`` that disagrees with the ridge count, a member variant
+    other than the config's, ``column_names`` other than null or one
+    string per predictor and one for the target, a scaling range that is
+    reversed or overflows, predictions that could overflow, a truncation
+    that is not positive) raises ``ConfigError``.
     """
     try:
         doc = json.loads(text, parse_float=_finite_float,
@@ -357,12 +358,15 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
         k = _number(mdoc["k"], "k", integer=True)
         if k != len(ridges):
             raise ConfigError(f"member has k={k} for {len(ridges)} ridges")
+        if mdoc["variant"] != config.variant:
+            raise ConfigError(f"member variant {mdoc['variant']!r} differs "
+                              f"from the config's {config.variant!r}")
         members.append(
             PprModel(
                 intercept=_number(mdoc["intercept"], "intercept"),
                 ridges=ridges,
                 weights=weights,
-                variant=mdoc["variant"],
+                variant=config.variant,
                 k=k,
                 bic_trace=[
                     (_number(t, "bic_trace step", integer=True),

@@ -44,6 +44,8 @@ def solve_ridge_ls(
     whether the Gram matrix is numerically singular; a singular undamped
     system, or any failed factorization, falls back to the minimum-norm
     ``lstsq`` solution.  A damped system skips the eigenvalue check.
+    ``design`` is (n, m) with m >= 1, ``target`` is (n,) and ``damping``
+    is >= 0; only finiteness is checked here.
     """
     if not (np.isfinite(design).all() and np.isfinite(target).all()):
         raise NumericError("non-finite entries in least-squares inputs")

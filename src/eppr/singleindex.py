@@ -192,7 +192,8 @@ def fit_single_index(
     tie).  Fallbacks: constant residuals give that constant with SSE 0; a
     start whose projection is too narrow to scale offers the best constant;
     a start keeps its last accepted direction when the Gauss-Newton solve
-    fails or step-halving runs out.
+    fails or step-halving runs out.  Requires n > J + q rows, which
+    ``run_greedy`` checks.
     """
     X_A = np.asarray(X_A, dtype=float)
     residuals = np.asarray(residuals, dtype=float)

@@ -32,8 +32,8 @@ class KnotVector:
     """Clamped uniform knot sequence on [-1, 1], always built here.
 
     ``knots`` is derived from ``(degree, basis_count)`` and read-only: each
-    endpoint repeated ``degree + 1`` times and ``interior_count`` equally
-    spaced breakpoints strictly inside (-1, 1).
+    endpoint repeated ``degree + 1`` times and ``basis_count - degree - 1``
+    equally spaced breakpoints strictly inside (-1, 1).
     """
 
     degree: int
@@ -63,10 +63,6 @@ class KnotVector:
         object.__setattr__(self, "_local_cols", np.arange(d + 1)[:, None])
         object.__setattr__(self, "_value_table", values)
         object.__setattr__(self, "_deriv_table", derivs)
-
-    @property
-    def interior_count(self) -> int:
-        return self.basis_count - self.degree - 1
 
 
 def _times_linear(
@@ -200,7 +196,9 @@ def _evaluate(kv: KnotVector, v: np.ndarray, table: np.ndarray) -> np.ndarray:
 def basis_matrix(kv: KnotVector, v: np.ndarray) -> np.ndarray:
     """Evaluate all basis functions at each point of ``v``.
 
-    Returns an array of shape ``(len(v), basis_count)`` whose rows sum to 1.
+    ``v`` is a 1-D float array in [-1, 1], as ``ProjectionScaler.transform``
+    returns it; this is not checked.  Returns an array of shape
+    ``(len(v), basis_count)`` whose rows sum to 1.
     """
     return _evaluate(kv, v, kv._value_table)
 
@@ -208,7 +206,8 @@ def basis_matrix(kv: KnotVector, v: np.ndarray) -> np.ndarray:
 def basis_deriv_matrix(kv: KnotVector, v: np.ndarray) -> np.ndarray:
     """Evaluate first derivatives of all basis functions at each point.
 
-    Uses the same one-sided limit convention as ``basis_matrix``; rows sum
-    to 0.  Requires ``degree >= 1``.
+    Takes the same points and one-sided limits as ``basis_matrix``; rows
+    sum to 0.  Requires ``degree >= 1``, which ``FitConfig.validate``
+    enforces.
     """
     return _evaluate(kv, v, kv._deriv_table)

@@ -553,6 +553,22 @@ def _bool_nu(doc: dict) -> None:
     doc["config"]["nu"] = True
 
 
+def _member_variant_number(doc: dict) -> None:
+    doc["members"][0]["variant"] = 7
+
+
+def _member_variant_not_the_configs(doc: dict) -> None:
+    doc["members"][0]["variant"] = "rga"
+
+
+def _degree_zero(doc: dict) -> None:
+    doc["config"]["degree"] = 0
+
+
+def _J_equal_to_degree(doc: dict) -> None:
+    doc["config"]["degree"] = doc["config"]["J"]
+
+
 # Written unquoted, as a literal json.dumps cannot produce from a float.
 OVERFLOW = "1e999"
 
@@ -568,7 +584,8 @@ OVERFLOW = "1e999"
      _column_names_not_strings, _quoted_coefficient_and_intercept,
      _quoted_truncation, _bool_weight, _fractional_subset_index,
      _fractional_k, _bool_k, _fractional_config_count, _fractional_bic_step,
-     _bool_scaler_bounds, _bool_nu],
+     _bool_scaler_bounds, _bool_nu, _member_variant_number,
+     _member_variant_not_the_configs, _degree_zero, _J_equal_to_degree],
 )
 def test_malformed_model_is_one_line_usage_error(
     tmp_path, capsys, mutate
@@ -587,6 +604,23 @@ def test_malformed_model_is_one_line_usage_error(
     assert code == EXIT_USAGE
     assert _one_error_line(capsys.readouterr().err)
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--J", "3"), ("--degree", "0"), ("--ell", "0"), ("--q", "10"),
+])
+def test_train_refuses_config_the_fit_relies_on(
+    tmp_path, capsys, flag, value
+) -> None:
+    """Only ``FitConfig.validate`` checks these; the layers below do not."""
+    data = synth_file(tmp_path, scenario="ppr3", n=120, p=9)
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    code = main(["train", "--data", data, "--target", "y", "--out", str(out),
+                 "--B", "1", "--kmax", "1", flag, value])
+    assert code == EXIT_USAGE
+    assert _one_error_line(capsys.readouterr().err)
+    assert not out.exists()
 
 
 def _overflowing_column(lines: list[str], column: int, cells) -> list[str]:

@@ -344,13 +344,30 @@ def test_block_parse_matches_per_row_rules(
         assert dropped in (None, ref_dropped)
 
 
+def _count_opens(monkeypatch) -> list[str]:
+    """The paths ``data_io`` opens; rewinding a handle fails the test."""
+    opened = []
+
+    def rewind(*args):
+        raise AssertionError("file read again from the start")
+
+    def counting_open(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)
+        handle.seek = rewind
+        opened.append(path)
+        return handle
+
+    monkeypatch.setattr(data_io, "open", counting_open, raising=False)
+    return opened
+
+
 def test_clean_file_skips_per_row_rules(tmp_path, monkeypatch) -> None:
     def refuse(*args):
         raise AssertionError("per-row reader called on a clean file")
 
     monkeypatch.setattr(data_io, "_non_blank", refuse)
     monkeypatch.setattr(data_io, "_chosen_cells", refuse)
-    monkeypatch.setattr(data_io, "_no_finite_row", refuse)
+    opened = _count_opens(monkeypatch)
     path = write_csv(tmp_path / "d.csv", "a,b,y\n1,2,3\nnan,5,6\n7,8,9\n")
     data = load_csv(path, "y")
     np.testing.assert_array_equal(data.X, [[1, 2], [7, 8]])
@@ -358,6 +375,7 @@ def test_clean_file_skips_per_row_rules(tmp_path, monkeypatch) -> None:
     np.testing.assert_array_equal(
         load_feature_matrix(path, ["b", "a"]), [[2, 1], [8, 7]]
     )
+    assert opened == [path, path]
 
 
 def test_bad_row_reparses_only_from_its_piece(tmp_path, monkeypatch) -> None:
@@ -373,13 +391,47 @@ def test_bad_row_reparses_only_from_its_piece(tmp_path, monkeypatch) -> None:
         seen.append(len(body))
         return chosen_cells(header, body, cols)
 
-    def refuse(*args):
-        raise AssertionError("file read again after a piece was rejected")
-
     monkeypatch.setattr(data_io, "_PIECE_CHARS", 16)
     monkeypatch.setattr(data_io, "_chosen_cells", counting)
-    monkeypatch.setattr(data_io, "_no_finite_row", refuse)
+    opened = _count_opens(monkeypatch)
     data = load_csv(path, "y")
+    assert opened == [path]
     assert sum(seen) <= 4  # the bad row's piece and the row after it
     assert np.array_equal(np.column_stack([data.X, data.y]), ref_matrix)
     assert data.dropped_rows == ref_dropped == 1
+
+
+# Files with no finite row, longer than one default piece, so numpy parses
+# the first piece at either piece size and the per-row rules read the last.
+# In the first, column b is "nan" in the numpy-parsed rows and text in the
+# last; in the second, every row has a bad cell but each column of a, b
+# and y holds a finite number in some row.
+_NAN_B_ROWS = "1.000000000000000000000000000000,nan,3\n" * 1800
+NO_FINITE_ROW = {
+    "b_nan_then_text": (
+        "a,b,y\n" + _NAN_B_ROWS + "7,red,9\n",
+        "non_numeric_column", "column(s) never numeric: b",
+    ),
+    "every_row_dropped": (
+        "a,b,y\n" + _NAN_B_ROWS + "x,2,z\n",
+        "no_rows", "{path} has no usable data rows",
+    ),
+}
+
+
+@pytest.mark.parametrize("piece_chars", [4, data_io._PIECE_CHARS])
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("case", sorted(NO_FINITE_ROW))
+def test_no_finite_row_error_from_one_read(
+    tmp_path, monkeypatch, case, reader, piece_chars
+) -> None:
+    text, code, message = NO_FINITE_ROW[case]
+    assert len(text) > data_io._PIECE_CHARS
+    monkeypatch.setattr(data_io, "_PIECE_CHARS", piece_chars)
+    path = write_csv(tmp_path / "d.csv", text)
+    opened = _count_opens(monkeypatch)
+    with pytest.raises(DataError) as excinfo:
+        READERS[reader](path)
+    assert excinfo.value.code == code
+    assert str(excinfo.value) == message.format(path=path)
+    assert opened == [path]

@@ -85,6 +85,10 @@ class TestDefaultConfig:
             small_config(degree=0).validate()
         with pytest.raises(ConfigError):
             small_config(stopping="cv").validate()
+        # The spline and greedy layers rely on these without checking them.
+        for bad in (dict(ell=0), dict(k_max=0), dict(J=3, degree=3)):
+            with pytest.raises(ConfigError):
+                small_config(**bad).validate()
         for nu in (math.nan, math.inf, -math.inf, -0.1):
             with pytest.raises(ConfigError):
                 small_config(nu=nu).validate()
