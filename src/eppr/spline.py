@@ -33,7 +33,8 @@ class KnotVector:
 
     ``knots`` is derived from ``(degree, basis_count)`` and read-only: each
     endpoint repeated ``degree + 1`` times and ``basis_count - degree - 1``
-    equally spaced breakpoints strictly inside (-1, 1).
+    equally spaced breakpoints strictly inside (-1, 1).  ``FitConfig.validate``
+    ensures ``basis_count >= degree + 1 >= 2``; this class does not check.
     """
 
     degree: int
