@@ -464,8 +464,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     predictions = model.predict(X)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("prediction\n")
-        handle.write("".join(repr(value) + "\n"
-                             for value in predictions.tolist()))
+        handle.write("\n".join(map(repr, predictions.tolist())) + "\n")
     print(f"{predictions.shape[0]} prediction(s) written to {args.out}")
     return EXIT_OK
 

@@ -310,9 +310,11 @@ def _ridge_from_dict(rdoc: dict, kv: KnotVector, p: int) -> Ridge:
 def _output_bound(members: list[PprModel]) -> float:
     """A bound on |sum of the members' outputs| over every input.
 
-    A spline value lies within the range of its coefficients, because the
-    basis is non-negative and sums to one.  Python floats overflow to inf
-    without a warning.
+    A spline value lies within the range of its coefficients, up to
+    rounding, because the basis is non-negative and sums to one;
+    ``basis_matrix`` forms it from convex combinations of the coefficients,
+    so no intermediate sum leaves that range either.  Python floats
+    overflow to inf without a warning.
     """
     return sum(
         abs(member.intercept) + sum(

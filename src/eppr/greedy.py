@@ -55,7 +55,7 @@ class PprModel:
     def predict(self, X_scaled: np.ndarray) -> np.ndarray:
         out = np.full(X_scaled.shape[0], self.intercept)
         for w, ridge in zip(self.weights, self.ridges):
-            out = out + w * eval_ridge_batch(ridge, X_scaled)
+            out += w * eval_ridge_batch(ridge, X_scaled)
         return out
 
 
@@ -205,7 +205,7 @@ def greedy_step_oga(state: RunState, data: RunData, config) -> RunState:
     ridge = _fit_candidates(data, residuals, config, state)
     if ridge is None:
         ridge = _zero_ridge(data, config)
-    values = eval_ridge_batch(ridge, data.X)
+    values = ridge_design_block(ridge, data.X) @ ridge.coeffs
     norm = math.sqrt(float(values @ values) / data.X.shape[0])
     if norm > _OGA_NORM_FLOOR:
         ridge = replace(ridge, coeffs=ridge.coeffs / norm)
@@ -235,7 +235,7 @@ def greedy_step_rga(state: RunState, data: RunData, config) -> RunState:
     ridge = _fit_candidates(data, residuals, config, state)
     if ridge is None:
         ridge = _zero_ridge(data, config)
-    values = eval_ridge_batch(ridge, data.X)
+    values = ridge_design_block(ridge, data.X) @ ridge.coeffs
     state.ridges.append(ridge)
     state.weights = [w * alpha for w in state.weights] + [1.0]
     state.fitted = alpha * state.fitted + values

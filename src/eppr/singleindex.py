@@ -89,20 +89,28 @@ class Ridge:
             raise ConfigError("coefficient count must match the spline basis")
 
 
-def ridge_design_block(ridge: Ridge, X: np.ndarray) -> np.ndarray:
-    """Spline design matrix of the ridge's projections, one row per sample."""
+def _scaled_projection(ridge: Ridge, X: np.ndarray) -> np.ndarray:
     z = X[:, ridge.subset] @ ridge.theta
     # A new row's projection may lie far outside the scaler's training
     # range; where the scaled value overflows to +-inf, the clamp maps it
     # to +-1.
     with np.errstate(over="ignore"):
-        v = np.asarray(ridge.scaler.transform(z), dtype=float)
-    return basis_matrix(ridge.knots, v)
+        return np.asarray(ridge.scaler.transform(z), dtype=float)
+
+
+def ridge_design_block(ridge: Ridge, X: np.ndarray) -> np.ndarray:
+    """Spline design matrix of the ridge's projections, one row per sample."""
+    return basis_matrix(ridge.knots, _scaled_projection(ridge, X))
 
 
 def eval_ridge_batch(ridge: Ridge, X: np.ndarray) -> np.ndarray:
-    """Ridge values for every row of ``X`` (full predictor matrix)."""
-    return ridge_design_block(ridge, X) @ ridge.coeffs
+    """Ridge values for every row of ``X`` (full predictor matrix).
+
+    They match ``ridge_design_block(ridge, X) @ ridge.coeffs``, the product
+    the fit uses, to rounding rather than bit for bit.
+    """
+    v = _scaled_projection(ridge, X)
+    return basis_matrix(ridge.knots, v, ridge.coeffs)
 
 
 @dataclass

@@ -9,6 +9,13 @@ t = (v - T[span]) / (T[span+1] - T[span]) weights the span's table, and the
 ``degree + 1`` results are scattered into a dense row whose other entries
 are exactly zero.
 
+Given a spline's coefficients, ``basis_matrix`` skips the dense rows: the
+value table without its binomial factors turns the ``degree + 1``
+coefficients acting on a span into the span's Bernstein coefficients, and
+a point dots one row of Bernstein weights (binomials included) with its
+span's.  Both steps are convex combinations, so a value stays within the
+range of the coefficients, up to rounding.
+
 The tables are stored points-last, indexed [Bernstein index, local
 function, span], so gathering the spans of n points gives a block with n
 last and every inner loop of the evaluation runs along the n points, not
@@ -25,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,8 @@ class KnotVector:
     _span_width: np.ndarray = field(init=False, repr=False, compare=False)
     _inner_knots: np.ndarray = field(init=False, repr=False, compare=False)
     _local_cols: np.ndarray = field(init=False, repr=False, compare=False)
+    _control_table: np.ndarray = field(init=False, repr=False, compare=False)
+    _binomial_col: np.ndarray = field(init=False, repr=False, compare=False)
     _value_table: np.ndarray = field(init=False, repr=False, compare=False)
     _deriv_table: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -56,12 +66,14 @@ class KnotVector:
             [np.full(d + 1, -1.0), breaks[1:-1], np.full(d + 1, 1.0)]
         )
         knots.setflags(write=False)
-        width, values, derivs = _span_tables(knots, d, J)
+        width, control, values, derivs = _span_tables(knots, d, J)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_span_lo", knots[d:J])
         object.__setattr__(self, "_span_width", width)
         object.__setattr__(self, "_inner_knots", knots[d + 1:J])
         object.__setattr__(self, "_local_cols", np.arange(d + 1)[:, None])
+        object.__setattr__(self, "_control_table", control)
+        object.__setattr__(self, "_binomial_col", _binomials(d)[:, None])
         object.__setattr__(self, "_value_table", values)
         object.__setattr__(self, "_deriv_table", derivs)
 
@@ -83,7 +95,7 @@ def _times_linear(
 
 def _span_tables(
     T: np.ndarray, d: int, basis_count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Bernstein coefficients of the non-zero basis pieces on every span.
 
     Runs the Cox-de Boor recurrence on coefficient arrays instead of point
@@ -94,7 +106,10 @@ def _span_tables(
     local function, span - degree].  Local function a on span s is
     B_{s-d+a}.  The end coefficients are formed by the same operations as
     point evaluation at the span ends, which keeps the endpoint rows
-    exactly one-hot.  The binomial factors are folded in.
+    exactly one-hot.  The value table is returned twice: without the
+    binomial factors (its local functions sum to one at every Bernstein
+    index) and with them folded in; the derivative table has them folded
+    in.
     """
     spans = np.arange(d, basis_count)
     lo, hi = T[spans], T[spans + 1]
@@ -129,8 +144,8 @@ def _span_tables(
             den = (T[j + d + 1] - T[j + 1])[:, None]
             derivs[:, :, a] -= d / den * lower[:, :, a]
     derivs *= _binomials(d - 1)[:, None]
-    stage *= _binomials(d)[:, None]
-    out = hi - lo, *(a.transpose(1, 2, 0).copy() for a in (stage, derivs))
+    tables = stage, stage * _binomials(d)[:, None], derivs
+    out = hi - lo, *(a.transpose(1, 2, 0).copy() for a in tables)
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -167,22 +182,30 @@ def _bernstein(t: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _evaluate(kv: KnotVector, v: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Dense ``(len(v), basis_count)`` matrix from a span-local table.
+def _locate(kv: KnotVector, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Span index (counted from the first span) and local coordinate t.
 
     The span of v counts the interior knots <= v, so an interior knot takes
     its right limit and v = 1 stays on the last span (its left limit).
-    Only the ``degree + 1`` functions non-zero on that span are evaluated;
-    every other entry is exactly 0.  The gather, the Bernstein rows and the
-    contraction keep the point axis last and contiguous, so numpy's inner
-    loops run along the points.  The contraction still sums over the
-    Bernstein index k in order, so every value has the bits a points-first
-    layout gives.
     """
-    J = kv.basis_count
     first = kv._inner_knots.searchsorted(v, side="right")
     t = v - kv._span_lo.take(first)
     t /= kv._span_width.take(first)
+    return first, t
+
+
+def _evaluate(kv: KnotVector, v: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Dense ``(len(v), basis_count)`` matrix from a span-local table.
+
+    Only the ``degree + 1`` functions non-zero on a point's span are
+    evaluated; every other entry is exactly 0.  The gather, the Bernstein
+    rows and the contraction keep the point axis last and contiguous, so
+    numpy's inner loops run along the points.  The contraction still sums
+    over the Bernstein index k in order, so every value has the bits a
+    points-first layout gives.
+    """
+    J = kv.basis_count
+    first, t = _locate(kv, v)
     local = np.einsum(
         "kn,kjn->jn",
         _bernstein(t, table.shape[0] - 1),
@@ -194,14 +217,33 @@ def _evaluate(kv: KnotVector, v: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def basis_matrix(kv: KnotVector, v: np.ndarray) -> np.ndarray:
-    """Evaluate all basis functions at each point of ``v``.
+def basis_matrix(
+    kv: KnotVector, v: np.ndarray, coeffs: np.ndarray | None = None
+) -> np.ndarray:
+    """Evaluate all basis functions, or one spline, at each point of ``v``.
 
     ``v`` is a 1-D float array in [-1, 1], as ``ProjectionScaler.transform``
-    returns it; this is not checked.  Returns an array of shape
-    ``(len(v), basis_count)`` whose rows sum to 1.
+    returns it; this is not checked.  Without ``coeffs``, returns an array
+    of shape ``(len(v), basis_count)`` whose rows sum to 1.
+
+    With ``coeffs`` (``basis_count`` floats), returns the spline values
+    ``basis_matrix(kv, v) @ coeffs``, shape ``(len(v),)``, without forming
+    the dense matrix.  They agree with that product to rounding (1e-14 of
+    max|coeffs| in the tests), not bit for bit, and each value is a convex
+    combination of the coefficients.
     """
-    return _evaluate(kv, v, kv._value_table)
+    if coeffs is None:
+        return _evaluate(kv, v, kv._value_table)
+    d = kv.degree
+    # [Bernstein index, span]: each span's coefficients in the Bernstein
+    # basis, from the degree + 1 spline coefficients that act on it.
+    control = np.einsum(
+        "kas,sa->ks", kv._control_table, sliding_window_view(coeffs, d + 1)
+    )
+    first, t = _locate(kv, v)
+    weights = _bernstein(t, d)
+    weights *= kv._binomial_col
+    return np.einsum("kn,kn->n", weights, control.take(first, axis=1))
 
 
 def basis_deriv_matrix(kv: KnotVector, v: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Greedy steps and BIC stopping."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from eppr import greedy
+from eppr import ensemble, greedy, spline
 from eppr.ensemble import FitConfig
 from eppr.errors import ConfigError, NumericError
 from eppr.greedy import (
@@ -374,3 +375,41 @@ class TestCandidateFallbacks:
         for ridge, second in zip(model.ridges, returned[1::2]):
             np.testing.assert_array_equal(ridge.subset, second.subset)
             np.testing.assert_array_equal(ridge.theta, second.theta)
+
+
+class TestFitStaysOnDesignPath:
+    """No fit evaluates a spline from its coefficients.
+
+    ``basis_matrix(kv, v, coeffs)`` rounds differently from the design
+    product the fit uses, so a fit that reached it would change model
+    bytes.  Every ``eppr`` binding of ``basis_matrix`` is replaced by a
+    guard that refuses ``coeffs``, the way perfbench's tracer wraps them.
+    """
+
+    @pytest.mark.parametrize("variant", ["aga", "oga", "rga"])
+    def test_fit_never_passes_coefficients(
+        self, monkeypatch, variant: str
+    ) -> None:
+        original = spline.basis_matrix
+        dense_calls = []
+
+        def guarded(kv, v, coeffs=None):
+            if coeffs is not None:
+                raise AssertionError("spline evaluated from coefficients")
+            dense_calls.append(v.size)
+            return original(kv, v)
+
+        for name, module in list(sys.modules.items()):
+            if name == "eppr" or name.startswith("eppr."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, guarded)
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1.0, 1.0, (150, 4))
+        y = np.sin(2.0 * X[:, 0]) + X[:, 1] ** 2
+        config = make_config(variant=variant, q=3, ell=3, B=2, k_max=3)
+        model = ensemble.fit(X, y, config)
+        assert dense_calls and len(model.members) == 2
+        # The guard is live where prediction evaluates ridges.
+        with pytest.raises(AssertionError, match="from coefficients"):
+            model.predict(X)

@@ -65,13 +65,13 @@ def reference_deriv(kv: KnotVector, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def probe_points(kv: KnotVector) -> np.ndarray:
-    """+-1, every breakpoint and its neighbours, and 10k uniform draws."""
+def probe_points(kv: KnotVector, draws: int = 10_000) -> np.ndarray:
+    """+-1, every breakpoint and its neighbours, and uniform draws."""
     breaks = np.unique(kv.knots)
     below = np.nextafter(breaks[1:], -np.inf)
     above = np.nextafter(breaks[:-1], np.inf)
     uniform = np.random.default_rng(kv.basis_count * 10 + kv.degree).uniform(
-        -1.0, 1.0, 10_000
+        -1.0, 1.0, draws
     )
     return np.concatenate([[-1.0, 1.0], breaks, below, above, uniform])
 
@@ -159,3 +159,45 @@ class TestKernelMatchesWrappedKernel:
             got, expected = evaluate(kv, v), reference_evaluate(kv, v, table)
             assert got.shape == expected.shape, name
             assert got.tobytes() == expected.tobytes(), name
+
+
+# Bernstein-form spline values against the dense design times the
+# coefficients.  Both round differently, so they agree to a tolerance
+# relative to the largest coefficient, not bit for bit.
+COEFF_CASES = CASES + [(9, 5), (40, 3)]
+COEFF_TOL = 1e-14
+
+
+@pytest.mark.parametrize("J, degree", COEFF_CASES)
+class TestCoefficientPath:
+    @staticmethod
+    def coefficient_sets(J: int, degree: int) -> dict:
+        rng = np.random.default_rng(97 * J + degree)
+        return {
+            "normal": rng.normal(size=J),
+            "wide": rng.normal(size=J) * 10.0 ** rng.uniform(-6, 6, J),
+            "constant": np.full(J, -2.5),
+            "one_hot": np.eye(J)[J // 2],
+        }
+
+    def test_matches_dense_product(self, J: int, degree: int) -> None:
+        kv = make_uniform_knots(J, degree)
+        v = probe_points(kv, draws=20_000)
+        dense = basis_matrix(kv, v)
+        for name, coeffs in self.coefficient_sets(J, degree).items():
+            got = basis_matrix(kv, v, coeffs)
+            assert got.shape == v.shape, name
+            err = np.abs(got - dense @ coeffs).max()
+            assert err <= COEFF_TOL * np.abs(coeffs).max(), name
+
+    def test_huge_coefficients_stay_finite(self, J: int, degree: int) -> None:
+        # Each value is a convex combination of the coefficients, so it
+        # cannot overflow; rounding may exceed max|coeffs| by a few ulps,
+        # as the dense product does.
+        kv = make_uniform_knots(J, degree)
+        v = probe_points(kv, draws=20_000)
+        signs = np.random.default_rng(J + degree).choice([-1.0, 1.0], J)
+        for coeffs in (np.full(J, 1e308), np.full(J, -1e308), 1e308 * signs):
+            got = basis_matrix(kv, v, coeffs)
+            assert np.all(np.isfinite(got))
+            assert np.abs(got).max() <= 1e308 * (1.0 + COEFF_TOL)
