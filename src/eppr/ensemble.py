@@ -25,6 +25,9 @@ _VARIANTS = ("aga", "oga", "rga")
 _STOPPING = ("bic", "fixed_k")
 _TRUNCATION = ("off", "ln_n")
 
+# Relative allowance for rounding in ``_output_bound``.
+_ROUNDING_SLACK = 1e-9
+
 
 @dataclass
 class FitConfig:
@@ -313,16 +316,23 @@ def _output_bound(members: list[PprModel]) -> float:
     A spline value lies within the range of its coefficients, up to
     rounding, because the basis is non-negative and sums to one;
     ``basis_matrix`` forms it from convex combinations of the coefficients,
-    so no intermediate sum leaves that range either.  Python floats
-    overflow to inf without a warning.
+    so no intermediate sum leaves that range either.  Rounding can still
+    exceed the exact bound: a point within an ulp of a knot may get a
+    local coordinate an ulp outside [0, 1], and every weighted sum rounds
+    once per term, so a model of m terms can overshoot by about m ulps.
+    The bound therefore carries a relative slack of ``_ROUNDING_SLACK``
+    (1e-9, room for some 10**6 terms), and it is inf where that overflows,
+    as for a spline whose coefficients are all the largest float.  Python
+    floats overflow to inf without a warning.
     """
-    return sum(
+    exact = sum(
         abs(member.intercept) + sum(
             abs(w) * float(np.abs(ridge.coeffs).max())
             for w, ridge in zip(member.weights.tolist(), member.ridges)
         )
         for member in members
     )
+    return exact * (1.0 + _ROUNDING_SLACK)
 
 
 def _model_from_doc(doc: dict) -> EnsembleModel:

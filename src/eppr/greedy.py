@@ -53,9 +53,15 @@ class PprModel:
     objective_trace: list[float] | None = None
 
     def predict(self, X_scaled: np.ndarray) -> np.ndarray:
+        """Intercept plus the weighted ridge values, added in ridge order.
+
+        All ridges are evaluated by one ``eval_ridge_batch`` call.
+        """
         out = np.full(X_scaled.shape[0], self.intercept)
-        for w, ridge in zip(self.weights, self.ridges):
-            out += w * eval_ridge_batch(ridge, X_scaled)
+        values = eval_ridge_batch(self.ridges, X_scaled)
+        values *= self.weights[:, None]
+        for row in values:
+            out += row
         return out
 
 

@@ -5,9 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericError
+
+# LAPACK's Cholesky factor and solve, bound from scipy by ``_bind_lapack``
+# on the first solve, so that a process that never solves (``eppr
+# predict``) never imports scipy.
+dpotrf = dpotrs = None
 
 # Damping scale relative to the mean diagonal of the Gram matrix.
 DEFAULT_DAMPING_SCALE = 1e-8
@@ -98,11 +102,18 @@ def _cholesky_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     Returns ``None`` where those helpers raise ``LinAlgError``, that is
     when the system is not numerically positive definite.
     """
+    if dpotrf is None:
+        _bind_lapack()
     factor, info = dpotrf(system, lower=1, clean=0)
     if info != 0:
         return None
     solution, info = dpotrs(factor, rhs, lower=1)
     return solution if info == 0 else None
+
+
+def _bind_lapack() -> None:
+    global dpotrf, dpotrs
+    from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 def _numerically_singular(gram: np.ndarray) -> bool:

@@ -9,6 +9,7 @@ direction, from several starts, keeping the best.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,22 @@ _MAX_ALTERNATIONS = 20
 _MAX_HALVINGS = 10
 _REL_TOL = 1e-6
 
+# Rows per chunk of a batched ridge evaluation, which bounds its
+# temporaries.  Predicting 20k rows with six 6-ridge members, 8,192 rows
+# beat 2,048 and 4,096 by 10-25% and 12,288 by 15%, where the temporaries
+# start to page-fault on every call; a default B=50 model on 100k rows ran
+# alike from 8,192 to 16,384.
+_CHUNK_ROWS = 8192
+
+
+def _unit_scale(shifted, width):
+    """clip(2 shifted / width - 1, -1, 1), in place when ``shifted`` is an
+    array.  ``width`` is a float, or a column of one width per row."""
+    shifted *= 2.0
+    shifted /= width
+    shifted -= 1.0
+    return np.clip(shifted, -1.0, 1.0, out=shifted if shifted.ndim else None)
+
 
 @dataclass(frozen=True)
 class ProjectionScaler:
@@ -46,13 +63,9 @@ class ProjectionScaler:
             raise ConfigError("scaler range hi - lo overflows float64")
 
     def transform(self, z: np.ndarray | float) -> np.ndarray | float:
-        # clip(2 (z - lo) / (hi - lo) - 1, -1, 1), one step at a time in
-        # the array that z - lo allocates.
-        v = np.subtract(z, self.lo)
-        v *= 2.0
-        v /= self.hi - self.lo
-        v -= 1.0
-        return np.clip(v, -1.0, 1.0, out=v if v.ndim else None)
+        # clip(2 (z - lo) / (hi - lo) - 1, -1, 1), in the array that
+        # z - lo allocates.
+        return _unit_scale(np.subtract(z, self.lo), self.hi - self.lo)
 
     @property
     def slope(self) -> float:
@@ -89,28 +102,58 @@ class Ridge:
             raise ConfigError("coefficient count must match the spline basis")
 
 
-def _scaled_projection(ridge: Ridge, X: np.ndarray) -> np.ndarray:
+def ridge_design_block(ridge: Ridge, X: np.ndarray) -> np.ndarray:
+    """Spline design matrix of the ridge's projections, one row per sample."""
     z = X[:, ridge.subset] @ ridge.theta
     # A new row's projection may lie far outside the scaler's training
     # range; where the scaled value overflows to +-inf, the clamp maps it
     # to +-1.
     with np.errstate(over="ignore"):
-        return np.asarray(ridge.scaler.transform(z), dtype=float)
+        v = np.asarray(ridge.scaler.transform(z), dtype=float)
+    return basis_matrix(ridge.knots, v)
 
 
-def ridge_design_block(ridge: Ridge, X: np.ndarray) -> np.ndarray:
-    """Spline design matrix of the ridge's projections, one row per sample."""
-    return basis_matrix(ridge.knots, _scaled_projection(ridge, X))
+def eval_ridge_batch(
+    ridges: Ridge | Sequence[Ridge], X: np.ndarray
+) -> np.ndarray:
+    """Ridge values at every row of ``X``, the full predictor matrix.
 
-
-def eval_ridge_batch(ridge: Ridge, X: np.ndarray) -> np.ndarray:
-    """Ridge values for every row of ``X`` (full predictor matrix).
-
-    They match ``ridge_design_block(ridge, X) @ ridge.coeffs``, the product
-    the fit uses, to rounding rather than bit for bit.
+    One ``Ridge`` gives shape ``(n,)``; a sequence of R ridges, which must
+    share the first one's knot vector, gives ``(R, n)``.  The (R, p) direction matrix
+    (each direction on its subset, zeros elsewhere), the scaler bounds and
+    the coefficient stack are built once.  Rows then go in chunks of
+    ``_CHUNK_ROWS``, each copied C-contiguous so that its bits do not
+    depend on the layout of ``X``.  Per chunk, one matrix product gives
+    all R projections, the scaler steps run on every ridge at once, and one
+    ``basis_matrix`` call evaluates the R splines at the chunk's points,
+    ridge-major.  A value agrees with ``ridge_design_block(ridge, X) @
+    ridge.coeffs``, the product the fit uses, to rounding rather than bit
+    for bit, and its bits may depend on which ridges share the call.
     """
-    v = _scaled_projection(ridge, X)
-    return basis_matrix(ridge.knots, v, ridge.coeffs)
+    single = isinstance(ridges, Ridge)
+    if single:
+        ridges = (ridges,)
+    n, p = X.shape
+    out = np.empty((len(ridges), n))
+    if not ridges:
+        return out
+    kv = ridges[0].knots
+    directions = np.zeros((len(ridges), p))
+    for row, ridge in zip(directions, ridges):
+        row[ridge.subset] = ridge.theta
+    lo = np.array([[ridge.scaler.lo] for ridge in ridges])
+    width = np.array([[ridge.scaler.hi - ridge.scaler.lo] for ridge in ridges])
+    coeffs = np.stack([ridge.coeffs for ridge in ridges])
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = np.ascontiguousarray(X[start:start + _CHUNK_ROWS])
+        z = directions @ rows.T
+        with np.errstate(over="ignore"):
+            z -= lo
+            _unit_scale(z, width)
+        out[:, start:start + rows.shape[0]] = basis_matrix(
+            kv, z.reshape(-1), coeffs
+        ).reshape(z.shape)
+    return out[0] if single else out
 
 
 @dataclass

@@ -4,17 +4,19 @@ Evaluation is span-local.  Each ``KnotVector`` builds, once, the Bernstein
 coefficients of the ``degree + 1`` basis pieces that are non-zero on each
 knot span, for the values and for the first derivatives (de Boor, *A
 Practical Guide to Splines*; Piegl & Tiller, *The NURBS Book*, A2.2/A2.3).
-A point is then located by one binary search, its local coordinate
-t = (v - T[span]) / (T[span+1] - T[span]) weights the span's table, and the
-``degree + 1`` results are scattered into a dense row whose other entries
-are exactly zero.
+For the dense basis rows the fit uses, a point is located by one binary
+search, its local coordinate t = (v - T[span]) / (T[span+1] - T[span])
+weights the span's table, and the ``degree + 1`` results are scattered
+into a dense row whose other entries are exactly zero.
 
-Given a spline's coefficients, ``basis_matrix`` skips the dense rows: the
-value table without its binomial factors turns the ``degree + 1``
-coefficients acting on a span into the span's Bernstein coefficients, and
-a point dots one row of Bernstein weights (binomials included) with its
-span's.  Both steps are convex combinations, so a value stays within the
-range of the coefficients, up to rounding.
+Given the coefficients of one spline or of a stack of splines,
+``basis_matrix`` skips the dense rows: one product with the value table
+without its binomial factors turns the coefficients into each span's
+Bernstein coefficients, a point's span comes from arithmetic on the uniform
+breakpoints instead of a search, and the point dots one row of Bernstein
+weights (binomials included) with its span's.  Both steps are convex
+combinations, so a value stays within the range of the coefficients, up to
+rounding.
 
 The tables are stored points-last, indexed [Bernstein index, local
 function, span], so gathering the spans of n points gives a block with n
@@ -32,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class KnotVector:
     _span_width: np.ndarray = field(init=False, repr=False, compare=False)
     _inner_knots: np.ndarray = field(init=False, repr=False, compare=False)
     _local_cols: np.ndarray = field(init=False, repr=False, compare=False)
-    _control_table: np.ndarray = field(init=False, repr=False, compare=False)
-    _binomial_col: np.ndarray = field(init=False, repr=False, compare=False)
+    _control_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _inner_binomials: np.ndarray = field(init=False, repr=False, compare=False)
     _value_table: np.ndarray = field(init=False, repr=False, compare=False)
     _deriv_table: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -72,8 +73,8 @@ class KnotVector:
         object.__setattr__(self, "_span_width", width)
         object.__setattr__(self, "_inner_knots", knots[d + 1:J])
         object.__setattr__(self, "_local_cols", np.arange(d + 1)[:, None])
-        object.__setattr__(self, "_control_table", control)
-        object.__setattr__(self, "_binomial_col", _binomials(d)[:, None])
+        object.__setattr__(self, "_control_matrix", control)
+        object.__setattr__(self, "_inner_binomials", _binomials(d)[1:-1, None])
         object.__setattr__(self, "_value_table", values)
         object.__setattr__(self, "_deriv_table", derivs)
 
@@ -102,14 +103,14 @@ def _span_tables(
     values: the weight (v - T[j]) / (T[j+k] - T[j]) is linear on a span, so
     each stage multiplies the previous one by a linear polynomial.  The
     recurrence runs on [span - degree, Bernstein index, local function];
-    the returned tables are contiguous copies indexed [Bernstein index,
-    local function, span - degree].  Local function a on span s is
-    B_{s-d+a}.  The end coefficients are formed by the same operations as
-    point evaluation at the span ends, which keeps the endpoint rows
-    exactly one-hot.  The value table is returned twice: without the
-    binomial factors (its local functions sum to one at every Bernstein
-    index) and with them folded in; the derivative table has them folded
-    in.
+    the value and derivative tables are contiguous copies indexed
+    [Bernstein index, local function, span - degree], with the binomial
+    factors folded in.  Local function a on span s is B_{s-d+a}.  The end
+    coefficients are formed by the same operations as point evaluation at
+    the span ends, which keeps the endpoint rows exactly one-hot.  The
+    control matrix holds the value table without the binomial factors (its
+    local functions sum to one at every Bernstein index), indexed
+    [spline coefficient, (Bernstein index, span - degree)].
     """
     spans = np.arange(d, basis_count)
     lo, hi = T[spans], T[spans + 1]
@@ -144,8 +145,17 @@ def _span_tables(
             den = (T[j + d + 1] - T[j + 1])[:, None]
             derivs[:, :, a] -= d / den * lower[:, :, a]
     derivs *= _binomials(d - 1)[:, None]
-    tables = stage, stage * _binomials(d)[:, None], derivs
-    out = hi - lo, *(a.transpose(1, 2, 0).copy() for a in tables)
+    # [spline coefficient, Bernstein index, span]: the value table without
+    # its binomial factors, each local function a on span s placed at
+    # coefficient s + a, so coefficients times it give each span's
+    # Bernstein coefficients.
+    control = np.zeros((basis_count, d + 1, spans.size))
+    first = np.arange(spans.size)
+    for a in range(d + 1):
+        control[first + a, :, first] = stage[:, :, a]
+    tables = stage * _binomials(d)[:, None], derivs
+    out = (hi - lo, control.reshape(basis_count, -1),
+           *(a.transpose(1, 2, 0).copy() for a in tables))
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -189,9 +199,16 @@ def _locate(kv: KnotVector, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its right limit and v = 1 stays on the last span (its left limit).
     """
     first = kv._inner_knots.searchsorted(v, side="right")
-    t = v - kv._span_lo.take(first)
-    t /= kv._span_width.take(first)
-    return first, t
+    return first, _local_coordinate(kv, v, first)
+
+
+def _local_coordinate(
+    kv: KnotVector, v: np.ndarray, span: np.ndarray
+) -> np.ndarray:
+    """t = (v - T[span]) / (T[span+1] - T[span]), span counted from the first."""
+    t = v - kv._span_lo.take(span)
+    t /= kv._span_width.take(span)
+    return t
 
 
 def _evaluate(kv: KnotVector, v: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -217,33 +234,62 @@ def _evaluate(kv: KnotVector, v: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
+def _span_index(kv: KnotVector, v: np.ndarray) -> np.ndarray:
+    """Span of each point, counted from the first span, without a search.
+
+    For degree >= 1 it is ``min(floor((v + 1) (J - d) / 2), J - d - 1)``.
+    Within an ulp of an interior knot that may pick the neighbouring span,
+    putting t an ulp outside [0, 1]; the spline is continuous there, so the
+    value moves by rounding only.  A degree-0 spline jumps at its knots, so
+    it keeps ``_locate``'s binary search.
+    """
+    if kv.degree == 0:
+        return kv._inner_knots.searchsorted(v, side="right")
+    spans = kv.basis_count - kv.degree
+    x = v + 1.0
+    x *= 0.5 * spans
+    span = x.astype(np.intp)  # x >= 0, so truncation is the floor
+    return np.minimum(span, spans - 1, out=span)
+
+
 def basis_matrix(
     kv: KnotVector, v: np.ndarray, coeffs: np.ndarray | None = None
 ) -> np.ndarray:
-    """Evaluate all basis functions, or one spline, at each point of ``v``.
+    """Evaluate all basis functions, or splines, at each point of ``v``.
 
     ``v`` is a 1-D float array in [-1, 1], as ``ProjectionScaler.transform``
     returns it; this is not checked.  Without ``coeffs``, returns an array
-    of shape ``(len(v), basis_count)`` whose rows sum to 1.
+    of shape ``(len(v), basis_count)`` whose rows sum to 1; each point is
+    located by ``_locate``'s binary search, and the fit relies on these
+    bits.
 
-    With ``coeffs`` (``basis_count`` floats), returns the spline values
-    ``basis_matrix(kv, v) @ coeffs``, shape ``(len(v),)``, without forming
-    the dense matrix.  They agree with that product to rounding (1e-14 of
-    max|coeffs| in the tests), not bit for bit, and each value is a convex
-    combination of the coefficients.
+    With ``coeffs``, returns spline values, shape ``(len(v),)``, without
+    forming the dense matrix, and with points placed by ``_span_index``.
+    ``coeffs`` holds ``basis_count`` floats for one spline, or an
+    (R, basis_count) stack; then row r acts on the r-th of R equal runs of
+    ``v``.  Each value agrees with its entry of ``basis_matrix(kv, v) @
+    coeffs`` to rounding (1e-14 of max|coeffs| in the tests), not bit for
+    bit, and is a convex combination of the coefficients up to rounding.
     """
     if coeffs is None:
         return _evaluate(kv, v, kv._value_table)
     d = kv.degree
-    # [Bernstein index, span]: each span's coefficients in the Bernstein
-    # basis, from the degree + 1 spline coefficients that act on it.
-    control = np.einsum(
-        "kas,sa->ks", kv._control_table, sliding_window_view(coeffs, d + 1)
-    )
-    first, t = _locate(kv, v)
-    weights = _bernstein(t, d)
-    weights *= kv._binomial_col
-    return np.einsum("kn,kn->n", weights, control.take(first, axis=1))
+    stack = coeffs.reshape(-1, kv.basis_count)
+    R = len(stack)
+    # [spline, Bernstein index, span]: each span's coefficients in the
+    # Bernstein basis, for every spline of the stack by one product.
+    control = (stack @ kv._control_matrix).reshape(R, d + 1, -1)
+    out = np.empty(v.size)
+    for points, values, tables in zip(
+        v.reshape(R, -1), out.reshape(R, -1), control
+    ):
+        span = _span_index(kv, points)
+        weights = _bernstein(_local_coordinate(kv, points, span), d)
+        weights[1:-1] *= kv._inner_binomials
+        for row, table in zip(weights, tables):
+            row *= table.take(span)
+        weights.sum(axis=0, out=values)
+    return out
 
 
 def basis_deriv_matrix(kv: KnotVector, v: np.ndarray) -> np.ndarray:

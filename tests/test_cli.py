@@ -569,6 +569,16 @@ def _J_equal_to_degree(doc: dict) -> None:
     doc["config"]["degree"] = doc["config"]["J"]
 
 
+def _largest_float_coefficients(doc: dict) -> None:
+    # Every coefficient is the largest float, so the spline values and
+    # their sum already sit at the overflow edge: rounding up gives inf.
+    member = doc["members"][0]
+    member["intercept"] = 0.0
+    member["weights"] = [1.0]
+    ridge = member["ridges"][0]
+    ridge["coeffs"] = [1.7976931348623157e308] * len(ridge["coeffs"])
+
+
 # Written unquoted, as a literal json.dumps cannot produce from a float.
 OVERFLOW = "1e999"
 
@@ -585,7 +595,8 @@ OVERFLOW = "1e999"
      _quoted_truncation, _bool_weight, _fractional_subset_index,
      _fractional_k, _bool_k, _fractional_config_count, _fractional_bic_step,
      _bool_scaler_bounds, _bool_nu, _member_variant_number,
-     _member_variant_not_the_configs, _degree_zero, _J_equal_to_degree],
+     _member_variant_not_the_configs, _degree_zero, _J_equal_to_degree,
+     _largest_float_coefficients],
 )
 def test_malformed_model_is_one_line_usage_error(
     tmp_path, capsys, mutate

@@ -128,6 +128,20 @@ class TestPredictAlgebra:
             )
             assert shuffled.predict(X).tobytes() == base.tobytes()
 
+    @pytest.mark.parametrize("k_max", [1, 3])
+    def test_layout_of_x_does_not_change_the_bytes(self, k_max: int) -> None:
+        # More rows than one chunk of the batched ridge evaluation, so the
+        # last chunk is partial.  One ridge per member makes the projection
+        # a matrix-vector product, whose bits follow the layout of X.
+        X, y = training_data(seed=5)
+        model = fit(X, y, small_config(B=3, k_max=k_max))
+        Xq = np.random.default_rng(6).uniform(-3.0, 4.0, (10_000, 3))
+        base = model.predict(np.ascontiguousarray(Xq)).tobytes()
+        wide = np.hstack([Xq, Xq])
+        for layout in (np.asfortranarray(Xq), np.repeat(Xq, 2, axis=0)[::2],
+                       wide[:, :3], np.asfortranarray(wide)[:, 3:]):
+            assert model.predict(layout).tobytes() == base
+
     def test_jensen_training_sse(self) -> None:
         # The averaged fit is never worse on squared error than the
         # average of the member squared errors.

@@ -288,6 +288,7 @@ class TestFailedFactorization:
     @staticmethod
     def fail_first(monkeypatch, failures: int) -> list:
         systems: list = []
+        numerics._bind_lapack()
         real = numerics.dpotrf
 
         def dpotrf(system, **kwargs):

@@ -7,6 +7,8 @@ sweeps every column at every degree and is kept here only as an oracle.
 import numpy as np
 import pytest
 
+from eppr import singleindex
+from eppr.singleindex import ProjectionScaler, Ridge, eval_ridge_batch
 from eppr.spline import (
     KnotVector,
     basis_deriv_matrix,
@@ -201,3 +203,58 @@ class TestCoefficientPath:
             got = basis_matrix(kv, v, coeffs)
             assert np.all(np.isfinite(got))
             assert np.abs(got).max() <= 1e308 * (1.0 + COEFF_TOL)
+
+    @pytest.mark.parametrize("R", [1, 2, 7])
+    def test_stack_matches_dense_product(
+        self, J: int, degree: int, R: int
+    ) -> None:
+        # R splines at once, each on its own order of the probe points.
+        kv = make_uniform_knots(J, degree)
+        probes = probe_points(kv, draws=2_000)
+        rng = np.random.default_rng(R)
+        sets = list(self.coefficient_sets(J, degree).values())
+        stack = np.stack([sets[r % len(sets)] * (r + 1) for r in range(R)])
+        points = np.stack([rng.permutation(probes) for _ in range(R)])
+        got = basis_matrix(kv, points.reshape(-1), stack)
+        assert got.shape == (R * probes.size,)
+        for row, v, coeffs in zip(got.reshape(R, -1), points, stack):
+            err = np.abs(row - basis_matrix(kv, v) @ coeffs).max()
+            assert err <= COEFF_TOL * np.abs(coeffs).max()
+
+    def test_huge_stack_stays_finite(self, J: int, degree: int) -> None:
+        kv = make_uniform_knots(J, degree)
+        v = probe_points(kv, draws=2_000)
+        signs = np.random.default_rng(J + degree).choice([-1.0, 1.0], J)
+        stack = np.stack([np.full(J, 1e308), np.full(J, -1e308),
+                          1e308 * signs])
+        got = basis_matrix(kv, np.tile(v, 3), stack)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got).max() <= 1e308 * (1.0 + COEFF_TOL)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_rows_around_a_chunk(
+        self, J: int, degree: int, extra: int
+    ) -> None:
+        # Seven ridges, each reading one predictor with a unit direction,
+        # so the projection is exact and the dense reference sees the
+        # same scaled points; the rows end one before, at and one after a
+        # chunk boundary.
+        kv = make_uniform_knots(J, degree)
+        R, p = 7, 4
+        rows = singleindex._CHUNK_ROWS + extra
+        rng = np.random.default_rng([J, degree, extra + 1])
+        X = rng.uniform(-1.0, 1.0, (rows, p))
+        ridges = [
+            Ridge(subset=np.array([r % p]), theta=np.array([1.0]),
+                  scaler=ProjectionScaler(-1.0 + 0.1 * r, 0.5 + 0.1 * r),
+                  coeffs=rng.normal(size=J), knots=kv)
+            for r in range(R)
+        ]
+        got = eval_ridge_batch(ridges, X)
+        assert got.shape == (R, rows)
+        for values, ridge in zip(got, ridges):
+            v = ridge.scaler.transform(X[:, ridge.subset[0]])
+            expected = basis_matrix(kv, v) @ ridge.coeffs
+            err = np.abs(values - expected).max()
+            assert err <= COEFF_TOL * np.abs(ridge.coeffs).max()
+            assert eval_ridge_batch(ridge, X).shape == (rows,)
