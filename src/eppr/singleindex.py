@@ -119,16 +119,16 @@ def eval_ridge_batch(
     """Ridge values at every row of ``X``, the full predictor matrix.
 
     One ``Ridge`` gives shape ``(n,)``; a sequence of R ridges, which must
-    share the first one's knot vector, gives ``(R, n)``.  The (R, p) direction matrix
-    (each direction on its subset, zeros elsewhere), the scaler bounds and
-    the coefficient stack are built once.  Rows then go in chunks of
-    ``_CHUNK_ROWS``, each copied C-contiguous so that its bits do not
-    depend on the layout of ``X``.  Per chunk, one matrix product gives
-    all R projections, the scaler steps run on every ridge at once, and one
-    ``basis_matrix`` call evaluates the R splines at the chunk's points,
-    ridge-major.  A value agrees with ``ridge_design_block(ridge, X) @
-    ridge.coeffs``, the product the fit uses, to rounding rather than bit
-    for bit, and its bits may depend on which ridges share the call.
+    share the first one's knot vector, gives ``(R, n)``.  The (R, p)
+    direction matrix (each direction on its subset, zeros elsewhere), the
+    scaler bounds and the coefficient stack are built once.  Rows then go
+    in chunks of ``_CHUNK_ROWS``, each copied C-contiguous so that its bits
+    do not depend on the layout of ``X``.  Per chunk, one matrix product
+    gives all R projections, the scaler steps run on every ridge at once,
+    and one ``basis_matrix`` call evaluates the R splines at the chunk's
+    points, ridge-major.  A value agrees with ``ridge_design_block(ridge,
+    X) @ ridge.coeffs``, the product the fit uses, to rounding rather than
+    bit for bit, and its bits may depend on which ridges share the call.
     """
     single = isinstance(ridges, Ridge)
     if single:

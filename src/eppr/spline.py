@@ -205,7 +205,7 @@ def _locate(kv: KnotVector, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _local_coordinate(
     kv: KnotVector, v: np.ndarray, span: np.ndarray
 ) -> np.ndarray:
-    """t = (v - T[span]) / (T[span+1] - T[span]), span counted from the first."""
+    """t = (v - T[span]) / (T[span+1] - T[span]), spans counted from 0."""
     t = v - kv._span_lo.take(span)
     t /= kv._span_width.take(span)
     return t

@@ -195,12 +195,16 @@ class TestCoefficientPath:
     def test_huge_coefficients_stay_finite(self, J: int, degree: int) -> None:
         # Each value is a convex combination of the coefficients, so it
         # cannot overflow; rounding may exceed max|coeffs| by a few ulps,
-        # as the dense product does.
+        # as the dense product does.  Each vector alone, then all three as
+        # one stack.
         kv = make_uniform_knots(J, degree)
         v = probe_points(kv, draws=20_000)
         signs = np.random.default_rng(J + degree).choice([-1.0, 1.0], J)
-        for coeffs in (np.full(J, 1e308), np.full(J, -1e308), 1e308 * signs):
-            got = basis_matrix(kv, v, coeffs)
+        stack = np.stack([np.full(J, 1e308), np.full(J, -1e308),
+                          1e308 * signs])
+        for coeffs, points in [*((row, v) for row in stack),
+                               (stack, np.tile(v, 3))]:
+            got = basis_matrix(kv, points, coeffs)
             assert np.all(np.isfinite(got))
             assert np.abs(got).max() <= 1e308 * (1.0 + COEFF_TOL)
 
@@ -220,16 +224,6 @@ class TestCoefficientPath:
         for row, v, coeffs in zip(got.reshape(R, -1), points, stack):
             err = np.abs(row - basis_matrix(kv, v) @ coeffs).max()
             assert err <= COEFF_TOL * np.abs(coeffs).max()
-
-    def test_huge_stack_stays_finite(self, J: int, degree: int) -> None:
-        kv = make_uniform_knots(J, degree)
-        v = probe_points(kv, draws=2_000)
-        signs = np.random.default_rng(J + degree).choice([-1.0, 1.0], J)
-        stack = np.stack([np.full(J, 1e308), np.full(J, -1e308),
-                          1e308 * signs])
-        got = basis_matrix(kv, np.tile(v, 3), stack)
-        assert np.all(np.isfinite(got))
-        assert np.abs(got).max() <= 1e308 * (1.0 + COEFF_TOL)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_rows_around_a_chunk(
