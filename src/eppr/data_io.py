@@ -46,13 +46,20 @@ class ColumnScaling:
         return cls(lo=X.min(axis=0), hi=X.max(axis=0))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        # clip(2 (X - lo) / span - 1, -1, 1), step by step in one copy of
+        # X; the constant columns, divided by 1 instead of 0, are zeroed
+        # afterwards.
         span = self.hi - self.lo
-        out = np.zeros_like(X)
-        live = span > 0.0
+        dead = ~(span > 0.0)
+        out = np.array(X, dtype=float)
         with np.errstate(over="ignore"):
-            scaled = 2.0 * (X[:, live] - self.lo[live]) / span[live] - 1.0
-        out[:, live] = np.clip(scaled, -1.0, 1.0)
+            out -= self.lo
+            out *= 2.0
+            out /= np.where(dead, 1.0, span)
+            out -= 1.0
+        np.maximum(out, -1.0, out=out)
+        np.minimum(out, 1.0, out=out)
+        out[:, dead] = 0.0
         return out
 
 

@@ -43,7 +43,9 @@ def _unit_scale(shifted, width):
     shifted *= 2.0
     shifted /= width
     shifted -= 1.0
-    return np.clip(shifted, -1.0, 1.0, out=shifted if shifted.ndim else None)
+    # np.clip's bits by its two ufuncs, without its Python wrapper.
+    out = shifted if shifted.ndim else None
+    return np.minimum(np.maximum(shifted, -1.0, out=out), 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -200,12 +202,13 @@ def _solve_at_theta(
     Returns ``None`` when the projections are too narrow to scale.
     """
     z = X_A @ theta
-    lo = float(z.min())
-    hi = float(z.max())
+    # The reductions behind z.min() and z.max(), without their wrappers.
+    lo = float(np.minimum.reduce(z))
+    hi = float(np.maximum.reduce(z))
     if hi - lo < _DEGENERATE_SPAN:
         return None
     scaler = ProjectionScaler(lo, hi)
-    v = np.asarray(scaler.transform(z), dtype=float)
+    v = scaler.transform(z)
     return scaler, v, solve_ridge_ls(basis_matrix(kv, v), residuals)
 
 
@@ -287,6 +290,12 @@ def _fit_from_start(
     theta0: np.ndarray,
     subset: np.ndarray,
 ) -> tuple[float, Ridge]:
+    """Alternate from ``theta0``; return the final SSE and ridge.
+
+    The Gauss-Newton Jacobian takes the spline's slopes from
+    ``basis_deriv_matrix(kv, v, coeffs)``, without a dense derivative
+    design; each candidate direction is refitted on the dense value design.
+    """
     theta = theta0
     state = _solve_at_theta(X_A, residuals, kv, theta)
     if state is None:
@@ -299,7 +308,7 @@ def _fit_from_start(
     scaler, v, sol = state
 
     for _ in range(_MAX_ALTERNATIONS):
-        slope_g = basis_deriv_matrix(kv, v) @ sol.coefficients
+        slope_g = basis_deriv_matrix(kv, v, sol.coefficients)
         slope_g *= scaler.slope
         jacobian = slope_g[:, None] * X_A
         delta = gauss_newton_delta(sol.residual, jacobian)

@@ -4,19 +4,23 @@ Evaluation is span-local.  Each ``KnotVector`` builds, once, the Bernstein
 coefficients of the ``degree + 1`` basis pieces that are non-zero on each
 knot span, for the values and for the first derivatives (de Boor, *A
 Practical Guide to Splines*; Piegl & Tiller, *The NURBS Book*, A2.2/A2.3).
-For the dense basis rows the fit uses, a point is located by one binary
-search, its local coordinate t = (v - T[span]) / (T[span+1] - T[span])
-weights the span's table, and the ``degree + 1`` results are scattered
-into a dense row whose other entries are exactly zero.
+For the dense value rows the fit's least-squares solves use, a point is
+located by one binary search, its local coordinate t = (v - T[span]) /
+(T[span+1] - T[span]) weights the span's table, and the ``degree + 1``
+results are scattered into a dense row whose other entries are exactly
+zero.
 
 Given the coefficients of one spline or of a stack of splines,
-``basis_matrix`` skips the dense rows: one product with the value table
-without its binomial factors turns the coefficients into each span's
-Bernstein coefficients, a point's span comes from arithmetic on the uniform
-breakpoints instead of a search, and the point dots one row of Bernstein
-weights (binomials included) with its span's.  Both steps are convex
-combinations, so a value stays within the range of the coefficients, up to
-rounding.
+``basis_matrix`` and ``basis_deriv_matrix`` skip the dense rows: one
+product with the value (or derivative) table without its binomial factors
+turns the coefficients into each span's Bernstein coefficients, of degree
+d (or d - 1), and a point dots one row of Bernstein weights (binomials
+included) with its span's.  Values, which prediction evaluates, place a
+point by arithmetic on the uniform breakpoints instead of a search; both
+steps are convex combinations, so a value stays within the range of the
+coefficients, up to rounding.  Slopes, which the fit's Gauss-Newton step
+evaluates, keep the binary search, so a degree-1 slope, which jumps at
+every knot, takes the same one-sided limits as the dense rows.
 
 The tables are stored points-last, indexed [Bernstein index, local
 function, span], so gathering the spans of n points gives a block with n
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +62,8 @@ class KnotVector:
     _local_cols: np.ndarray = field(init=False, repr=False, compare=False)
     _control_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     _inner_binomials: np.ndarray = field(init=False, repr=False, compare=False)
+    _deriv_control: np.ndarray = field(init=False, repr=False, compare=False)
+    _deriv_binomials: np.ndarray = field(init=False, repr=False, compare=False)
     _value_table: np.ndarray = field(init=False, repr=False, compare=False)
     _deriv_table: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -67,7 +74,9 @@ class KnotVector:
             [np.full(d + 1, -1.0), breaks[1:-1], np.full(d + 1, 1.0)]
         )
         knots.setflags(write=False)
-        width, control, values, derivs = _span_tables(knots, d, J)
+        width, control, deriv_control, values, derivs = _span_tables(
+            knots, d, J
+        )
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_span_lo", knots[d:J])
         object.__setattr__(self, "_span_width", width)
@@ -75,6 +84,10 @@ class KnotVector:
         object.__setattr__(self, "_local_cols", np.arange(d + 1)[:, None])
         object.__setattr__(self, "_control_matrix", control)
         object.__setattr__(self, "_inner_binomials", _binomials(d)[1:-1, None])
+        object.__setattr__(self, "_deriv_control", deriv_control)
+        object.__setattr__(
+            self, "_deriv_binomials", _binomials(d - 1)[1:-1, None]
+        )
         object.__setattr__(self, "_value_table", values)
         object.__setattr__(self, "_deriv_table", derivs)
 
@@ -96,7 +109,7 @@ def _times_linear(
 
 def _span_tables(
     T: np.ndarray, d: int, basis_count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Bernstein coefficients of the non-zero basis pieces on every span.
 
     Runs the Cox-de Boor recurrence on coefficient arrays instead of point
@@ -107,10 +120,11 @@ def _span_tables(
     [Bernstein index, local function, span - degree], with the binomial
     factors folded in.  Local function a on span s is B_{s-d+a}.  The end
     coefficients are formed by the same operations as point evaluation at
-    the span ends, which keeps the endpoint rows exactly one-hot.  The
-    control matrix holds the value table without the binomial factors (its
-    local functions sum to one at every Bernstein index), indexed
-    [spline coefficient, (Bernstein index, span - degree)].
+    the span ends, which keeps the endpoint rows exactly one-hot.  The two
+    control matrices hold the value and derivative tables without their
+    binomial factors (the value table's local functions sum to one at every
+    Bernstein index), indexed [spline coefficient, (Bernstein index,
+    span - degree)].
     """
     spans = np.arange(d, basis_count)
     lo, hi = T[spans], T[spans + 1]
@@ -144,21 +158,29 @@ def _span_tables(
         if a < d:
             den = (T[j + d + 1] - T[j + 1])[:, None]
             derivs[:, :, a] -= d / den * lower[:, :, a]
+    controls = [_control(pieces, basis_count) for pieces in (stage, derivs)]
     derivs *= _binomials(d - 1)[:, None]
-    # [spline coefficient, Bernstein index, span]: the value table without
-    # its binomial factors, each local function a on span s placed at
-    # coefficient s + a, so coefficients times it give each span's
-    # Bernstein coefficients.
-    control = np.zeros((basis_count, d + 1, spans.size))
-    first = np.arange(spans.size)
-    for a in range(d + 1):
-        control[first + a, :, first] = stage[:, :, a]
     tables = stage * _binomials(d)[:, None], derivs
-    out = (hi - lo, control.reshape(basis_count, -1),
+    out = (hi - lo, *controls,
            *(a.transpose(1, 2, 0).copy() for a in tables))
     for arr in out:
         arr.setflags(write=False)
     return out
+
+
+def _control(pieces: np.ndarray, basis_count: int) -> np.ndarray:
+    """[spline coefficient, (Bernstein index, span)] from span pieces.
+
+    ``pieces`` is indexed [span, Bernstein index, local function]; local
+    function a on span s is placed at coefficient s + a, so coefficients
+    times the result give each span's Bernstein coefficients.
+    """
+    spans, order, width = pieces.shape
+    control = np.zeros((basis_count, order, spans))
+    first = np.arange(spans)
+    for a in range(width):
+        control[first + a, :, first] = pieces[:, :, a]
+    return control.reshape(basis_count, -1)
 
 
 def _binomials(n: int) -> np.ndarray:
@@ -192,14 +214,13 @@ def _bernstein(t: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _locate(kv: KnotVector, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Span index (counted from the first span) and local coordinate t.
+def _locate(kv: KnotVector, v: np.ndarray) -> np.ndarray:
+    """Span of each point, counted from the first span, by binary search.
 
     The span of v counts the interior knots <= v, so an interior knot takes
     its right limit and v = 1 stays on the last span (its left limit).
     """
-    first = kv._inner_knots.searchsorted(v, side="right")
-    return first, _local_coordinate(kv, v, first)
+    return kv._inner_knots.searchsorted(v, side="right")
 
 
 def _local_coordinate(
@@ -209,6 +230,14 @@ def _local_coordinate(
     t = v - kv._span_lo.take(span)
     t /= kv._span_width.take(span)
     return t
+
+
+@lru_cache(maxsize=8)
+def _row_starts(rows: int, basis_count: int) -> np.ndarray:
+    """Flat index of the first entry of each row of a dense design."""
+    starts = np.arange(0, rows * basis_count, basis_count)
+    starts.setflags(write=False)
+    return starts
 
 
 def _evaluate(kv: KnotVector, v: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -222,14 +251,14 @@ def _evaluate(kv: KnotVector, v: np.ndarray, table: np.ndarray) -> np.ndarray:
     points-first layout gives.
     """
     J = kv.basis_count
-    first, t = _locate(kv, v)
+    first = _locate(kv, v)
     local = np.einsum(
         "kn,kjn->jn",
-        _bernstein(t, table.shape[0] - 1),
+        _bernstein(_local_coordinate(kv, v, first), table.shape[0] - 1),
         table.take(first, axis=2),
     )
     out = np.zeros((v.size, J))
-    first += np.arange(0, v.size * J, J)  # flat index of each row's span
+    first += _row_starts(v.size, J)  # flat index of each row's span
     out.reshape(-1)[first + kv._local_cols] = local
     return out
 
@@ -244,12 +273,40 @@ def _span_index(kv: KnotVector, v: np.ndarray) -> np.ndarray:
     it keeps ``_locate``'s binary search.
     """
     if kv.degree == 0:
-        return kv._inner_knots.searchsorted(v, side="right")
+        return _locate(kv, v)
     spans = kv.basis_count - kv.degree
     x = v + 1.0
     x *= 0.5 * spans
     span = x.astype(np.intp)  # x >= 0, so truncation is the floor
     return np.minimum(span, spans - 1, out=span)
+
+
+def _bernstein_form(kv, v, coeffs, control_matrix, binomials, place):
+    """Splines through their per-span Bernstein coefficients.
+
+    One product of the (R, basis_count) coefficient stack with
+    ``control_matrix`` gives every spline's Bernstein coefficients on every
+    span; row r of the stack acts on the r-th of R equal runs of ``v``.
+    ``place(kv, points)`` puts each point on its span, and the point dots
+    one row of Bernstein weights, ``binomials`` folded into its inner
+    entries, with its span's coefficients.
+    """
+    stack = coeffs.reshape(-1, kv.basis_count)
+    R = len(stack)
+    # [spline, Bernstein index, span]
+    control = (stack @ control_matrix).reshape(R, -1, kv._span_lo.size)
+    degree = control.shape[1] - 1
+    out = np.empty(v.size)
+    for points, values, tables in zip(
+        v.reshape(R, -1), out.reshape(R, -1), control
+    ):
+        span = place(kv, points)
+        weights = _bernstein(_local_coordinate(kv, points, span), degree)
+        weights[1:-1] *= binomials
+        for row, table in zip(weights, tables):
+            row *= table.take(span)
+        weights.sum(axis=0, out=values)
+    return out
 
 
 def basis_matrix(
@@ -273,30 +330,27 @@ def basis_matrix(
     """
     if coeffs is None:
         return _evaluate(kv, v, kv._value_table)
-    d = kv.degree
-    stack = coeffs.reshape(-1, kv.basis_count)
-    R = len(stack)
-    # [spline, Bernstein index, span]: each span's coefficients in the
-    # Bernstein basis, for every spline of the stack by one product.
-    control = (stack @ kv._control_matrix).reshape(R, d + 1, -1)
-    out = np.empty(v.size)
-    for points, values, tables in zip(
-        v.reshape(R, -1), out.reshape(R, -1), control
-    ):
-        span = _span_index(kv, points)
-        weights = _bernstein(_local_coordinate(kv, points, span), d)
-        weights[1:-1] *= kv._inner_binomials
-        for row, table in zip(weights, tables):
-            row *= table.take(span)
-        weights.sum(axis=0, out=values)
-    return out
+    return _bernstein_form(
+        kv, v, coeffs, kv._control_matrix, kv._inner_binomials, _span_index
+    )
 
 
-def basis_deriv_matrix(kv: KnotVector, v: np.ndarray) -> np.ndarray:
-    """Evaluate first derivatives of all basis functions at each point.
+def basis_deriv_matrix(
+    kv: KnotVector, v: np.ndarray, coeffs: np.ndarray | None = None
+) -> np.ndarray:
+    """Evaluate first derivatives of all basis functions, or splines.
 
-    Takes the same points and one-sided limits as ``basis_matrix``; rows
-    sum to 0.  Requires ``degree >= 1``, which ``FitConfig.validate``
-    enforces.
+    Takes the same points as ``basis_matrix``; without ``coeffs`` the dense
+    rows sum to 0.  With ``coeffs``, as for ``basis_matrix``, returns the
+    slopes from each span's degree - 1 Bernstein coefficients, which the
+    fit's Gauss-Newton step uses; each agrees with its entry of
+    ``basis_deriv_matrix(kv, v) @ coeffs`` to rounding.  Both modes place
+    points by ``_locate``'s binary search, so a degree-1 slope, which
+    jumps at every knot, takes its right limit there and its left limit at
+    v = 1.  Requires ``degree >= 1``, which ``FitConfig.validate`` enforces.
     """
-    return _evaluate(kv, v, kv._deriv_table)
+    if coeffs is None:
+        return _evaluate(kv, v, kv._deriv_table)
+    return _bernstein_form(
+        kv, v, coeffs, kv._deriv_control, kv._deriv_binomials, _locate
+    )

@@ -138,6 +138,46 @@ class TestScaling:
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
 
+    def test_in_place_scaling_matches_the_formula_bit_for_bit(self) -> None:
+        # Columns: a wide live one, two constant ones (one between signed
+        # zeros), one so narrow that most values overflow, and one whose
+        # range nearly fills float64.  Rows hold NaN, signed zeros,
+        # infinities, the largest floats, each column's bounds and values
+        # far outside them.
+        lo = np.array([-3.0, 2.5, -0.0, 1e-300, -1e300])
+        hi = np.array([7.0, 2.5, 0.0, 2e-300, 1e300])
+        scaling = ColumnScaling(lo=lo, hi=hi)
+        special = [np.nan, -np.nan, -0.0, 0.0, np.inf, -np.inf, 1e308,
+                   -1e308, 5e-324, -5e-324]
+        rng = np.random.default_rng(50)
+        rows = [np.full(5, value) for value in special] + [lo, hi]
+        rows += list(rng.normal(size=(200, 5)) * 10.0 ** rng.uniform(
+            -3, 12, (200, 5)))
+        X = np.array(rows)
+        X[rng.integers(0, len(X), 40), rng.integers(0, 5, 40)] = np.nan
+        cases = [(scaling, X), (scaling, np.asfortranarray(X)),
+                 (scaling, X[::2]),
+                 (ColumnScaling(lo=lo[1:], hi=hi[1:]), X[:, 1:])]
+        for scaling, layout in cases:
+            before = layout.copy()
+            scaled = scaling.transform(layout)
+            expected = reference_column_scaling(scaling, layout)
+            assert scaled.tobytes() == expected.tobytes()
+            assert layout.tobytes() == before.tobytes()
+
+
+def reference_column_scaling(scaling: ColumnScaling, X) -> np.ndarray:
+    """``ColumnScaling.transform`` as written before it scaled in place."""
+    X = np.asarray(X, dtype=float)
+    span = scaling.hi - scaling.lo
+    out = np.zeros_like(X)
+    live = span > 0.0
+    with np.errstate(over="ignore"):
+        scaled = 2.0 * (X[:, live] - scaling.lo[live]) / span[live] - 1.0
+    out[:, live] = np.clip(scaled, -1.0, 1.0)
+    return out
+
+
 def make_dataset(N: int, p: int = 2, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     return Dataset(

@@ -348,3 +348,49 @@ class TestRewriteMatchesReference:
         for vec in (np.zeros(3), np.full(2, 1e-14), np.array([np.nan, 1.0]),
                     np.array([np.inf, 0.0])):
             assert _unit(vec) is None and reference_unit(vec) is None
+
+
+@pytest.mark.parametrize("J, degree", [(10, 3), (6, 1), (9, 2)])
+def test_slope_path_takes_the_dense_products_steps(
+    monkeypatch, J: int, degree: int
+) -> None:
+    """The fit's slopes from per-span coefficients against the dense design.
+
+    One fixed problem is fitted with ``basis_deriv_matrix(kv, v, coeffs)``
+    and again with the dense ``basis_deriv_matrix(kv, v) @ coeffs`` in its
+    place; the slopes differ in the last bits only, so both fits make the
+    same solves and end at the same SSE to rounding.
+    """
+    real_deriv = singleindex.basis_deriv_matrix
+    real_solve = singleindex.solve_ridge_ls
+    rng = np.random.default_rng(40 + degree)
+    X = rng.uniform(-1.0, 1.0, (400, 5))
+    theta = np.array([0.6, -0.3, 0.0, 0.7, 0.2])
+    y = np.sin(2.5 * (X @ theta)) + 0.1 * rng.standard_normal(400)
+    kv = make_uniform_knots(J, degree)
+
+    def fit(dense: bool) -> tuple[int, int, float]:
+        counts = {"solves": 0, "slopes": 0}
+
+        def solve(*args):
+            counts["solves"] += 1
+            return real_solve(*args)
+
+        def deriv(kv, v, coeffs):
+            counts["slopes"] += 1
+            if dense:
+                return real_deriv(kv, v) @ coeffs
+            return real_deriv(kv, v, coeffs)
+
+        monkeypatch.setattr(singleindex, "solve_ridge_ls", solve)
+        monkeypatch.setattr(singleindex, "basis_deriv_matrix", deriv)
+        _, sse = fit_single_index(
+            X, y, kv, SingleIndexOptions(rng=np.random.default_rng(41))
+        )
+        return counts["solves"], counts["slopes"], sse
+
+    solves, slopes, sse = fit(dense=False)
+    dense_solves, dense_slopes, dense_sse = fit(dense=True)
+    assert slopes > singleindex._N_STARTS  # some start took several steps
+    assert (solves, slopes) == (dense_solves, dense_slopes)
+    assert abs(sse - dense_sse) <= 1e-12 * dense_sse

@@ -252,3 +252,46 @@ class TestCoefficientPath:
             err = np.abs(values - expected).max()
             assert err <= COEFF_TOL * np.abs(ridge.coeffs).max()
             assert eval_ridge_batch(ridge, X).shape == (rows,)
+
+
+# Slopes from per-span Bernstein coefficients against the dense derivative
+# design times the coefficients.  A slope is of order max|coeffs| times
+# d (J - d), the largest basis derivative on knots 2 / (J - d) apart, so
+# the tolerance scales with that; the worst measured error over the grid
+# below is 3.1e-16 of it.
+SLOPE_TOL = 2e-15
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+class TestSlopeCoefficientPath:
+    def test_matches_dense_product(self, degree: int) -> None:
+        for J in range(degree + 1, 31):
+            kv = make_uniform_knots(J, degree)
+            v = probe_points(kv, draws=2_000)
+            dense = basis_deriv_matrix(kv, v)
+            sets = TestCoefficientPath.coefficient_sets(J, degree)
+            for name, coeffs in sets.items():
+                got = basis_deriv_matrix(kv, v, coeffs)
+                assert got.shape == v.shape, (J, name)
+                err = np.abs(got - dense @ coeffs).max()
+                scale = np.abs(coeffs).max() * degree * (J - degree)
+                assert err <= SLOPE_TOL * scale, (J, name)
+
+
+def test_degree_one_slope_takes_the_right_limit() -> None:
+    # A degree-1 spline is piecewise linear, so its slope jumps at every
+    # interior knot; the slope there is the one of the span to its right,
+    # and at v = 1 the one of the last span.
+    for J in (3, 4, 7, 12):
+        kv = make_uniform_knots(J, 1)
+        coeffs = np.random.default_rng(J).normal(size=J)
+        knots = kv.knots[2:J]
+        at = basis_deriv_matrix(kv, knots, coeffs)
+        right = basis_deriv_matrix(kv, np.nextafter(knots, np.inf), coeffs)
+        left = basis_deriv_matrix(kv, np.nextafter(knots, -np.inf), coeffs)
+        assert at.tobytes() == right.tobytes()
+        assert np.all(at != left)
+        ends = basis_deriv_matrix(
+            kv, np.array([1.0, np.nextafter(1.0, 0.0)]), coeffs
+        )
+        assert ends[0] == ends[1]
