@@ -29,6 +29,17 @@ _FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
 _PIECE_CHARS = 1 << 16
 
 
+def _unit_scale(shifted, width):
+    """clip(2 shifted / width - 1, -1, 1), in place when ``shifted`` is an
+    array; ``width`` is a float or an array broadcasting against it."""
+    shifted *= 2.0
+    shifted /= width
+    shifted -= 1.0
+    # np.clip's bits by its two ufuncs, without its Python wrapper.
+    out = shifted if shifted.ndim else None
+    return np.minimum(np.maximum(shifted, -1.0, out=out), 1.0, out=out)
+
+
 @dataclass
 class ColumnScaling:
     """Per-column affine map of the training range onto [-1, 1].
@@ -46,19 +57,14 @@ class ColumnScaling:
         return cls(lo=X.min(axis=0), hi=X.max(axis=0))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        # clip(2 (X - lo) / span - 1, -1, 1), step by step in one copy of
-        # X; the constant columns, divided by 1 instead of 0, are zeroed
-        # afterwards.
+        # clip(2 (X - lo) / span - 1, -1, 1) in one copy of X; the constant
+        # columns, divided by 1 instead of 0, are zeroed afterwards.
         span = self.hi - self.lo
         dead = ~(span > 0.0)
         out = np.array(X, dtype=float)
         with np.errstate(over="ignore"):
             out -= self.lo
-            out *= 2.0
-            out /= np.where(dead, 1.0, span)
-            out -= 1.0
-        np.maximum(out, -1.0, out=out)
-        np.minimum(out, 1.0, out=out)
+            _unit_scale(out, np.where(dead, 1.0, span))
         out[:, dead] = 0.0
         return out
 

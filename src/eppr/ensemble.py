@@ -28,6 +28,12 @@ _TRUNCATION = ("off", "ln_n")
 # Relative allowance for rounding in ``_output_bound``.
 _ROUNDING_SLACK = 1e-9
 
+# Spline bounds, checked before a knot vector builds (2 degree + 1) J^2
+# floats of tables, 14 MB for a cubic at J = 500 and 43 MB at degree 10, in
+# O(degree^2) steps.  default_config keeps J <= 30; the tests fit degree <= 5.
+_MAX_J = 500
+_MAX_DEGREE = 10
+
 
 @dataclass
 class FitConfig:
@@ -62,11 +68,13 @@ class FitConfig:
             raise ConfigError(f"B must be >= 1, got {self.B}")
         if self.k_max < 1:
             raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
-        if self.degree < 1:
-            raise ConfigError(f"degree must be >= 1, got {self.degree}")
-        if self.J < self.degree + 1:
+        if not 1 <= self.degree <= _MAX_DEGREE:
             raise ConfigError(
-                f"J must be at least degree + 1, got J={self.J}"
+                f"degree must be in 1..{_MAX_DEGREE}, got {self.degree}"
+            )
+        if not self.degree + 1 <= self.J <= _MAX_J:
+            raise ConfigError(
+                f"J must be in {self.degree + 1}..{_MAX_J}, got J={self.J}"
             )
         if not (math.isfinite(self.nu) and self.nu >= 0.0):
             raise ConfigError(
@@ -153,12 +161,11 @@ def fit(
 
     ``column_names`` names the predictors, then the target, as
     ``Dataset.column_names`` does.  Members are fitted in index order on
-    the calling thread.  ``workers`` is accepted and has no effect: a
-    member fit is Python-bound under the interpreter lock, so a thread
-    pool ran slower than this loop, and a process pool adds a whole child
-    interpreter to peak memory.  Non-finite data, a predictor whose
-    max - min overflows float64 and a response whose mean or sum of
-    squares overflows raise ``NumericError`` before any member is fitted.
+    the calling thread; ``workers`` is accepted and has no effect.
+    Non-finite data, a predictor whose max - min overflows float64 and a
+    response whose mean or sum of squares overflows raise ``NumericError``
+    before any member is fitted; n <= J + q rows raise ``ConfigError``
+    before the knots are built.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -181,6 +188,11 @@ def fit(
         raise NumericError(f"predictor {column}: max - min overflows float64")
     if not math.isfinite(total_ss):
         raise NumericError("response mean or sum of squares overflows float64")
+    if X.shape[0] <= config.J + config.q:
+        raise ConfigError(
+            "need more than J + q samples per run, got "
+            f"n={X.shape[0]}, J={config.J}, q={config.q}"
+        )
     Xs = scaling.transform(X)
     kv = make_uniform_knots(config.J, config.degree)
     data = RunData(X=Xs, y=y, kv=kv)
@@ -348,7 +360,7 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
         hi=_numbers(doc["feature_scaling"]["hi"], "feature_scaling hi"),
     )
     p = scaling.lo.size
-    if scaling.lo.shape != (p,) or scaling.hi.shape != (p,):
+    if scaling.hi.shape != (p,):
         raise ConfigError("feature scaling bounds must be equal-length lists")
     with np.errstate(over="ignore"):
         span = scaling.hi - scaling.lo

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .numerics import DEFAULT_DAMPING_SCALE, gram_mean_diag, solve_ridge_ls
 from .singleindex import (
     Ridge,
@@ -264,12 +264,7 @@ def run_greedy(data: RunData, config, rng: np.random.Generator) -> PprModel:
     (tau + 1)-th term; if no such tau appears by ``k_max`` the run keeps all
     ``k_max`` terms.  At least one term is always kept.
     """
-    n, p = data.X.shape
-    if n <= data.kv.basis_count + config.q:
-        raise ConfigError(
-            "need more than J + q samples per run, got "
-            f"n={n}, J={data.kv.basis_count}, q={config.q}"
-        )
+    n = data.X.shape[0]
     step = _STEP_FUNCTIONS[config.variant]
 
     intercept = float(np.mean(data.y))

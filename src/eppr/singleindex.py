@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data_io import _unit_scale
 from .errors import ConfigError
 from .numerics import LsSolution, gauss_newton_delta, solve_ridge_ls
 from .spline import KnotVector, basis_deriv_matrix, basis_matrix
@@ -35,17 +36,6 @@ _REL_TOL = 1e-6
 # start to page-fault on every call; a default B=50 model on 100k rows ran
 # alike from 8,192 to 16,384.
 _CHUNK_ROWS = 8192
-
-
-def _unit_scale(shifted, width):
-    """clip(2 shifted / width - 1, -1, 1), in place when ``shifted`` is an
-    array.  ``width`` is a float, or a column of one width per row."""
-    shifted *= 2.0
-    shifted /= width
-    shifted -= 1.0
-    # np.clip's bits by its two ufuncs, without its Python wrapper.
-    out = shifted if shifted.ndim else None
-    return np.minimum(np.maximum(shifted, -1.0, out=out), 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -247,7 +237,7 @@ def fit_single_index(
     start whose projection is too narrow to scale offers the best constant;
     a start keeps its last accepted direction when the Gauss-Newton solve
     fails or step-halving runs out.  Requires n > J + q rows, which
-    ``run_greedy`` checks.
+    ``ensemble.fit`` checks.
     """
     X_A = np.asarray(X_A, dtype=float)
     residuals = np.asarray(residuals, dtype=float)

@@ -12,17 +12,18 @@ zero.
 
 Given the coefficients of one spline or of a stack of splines,
 ``basis_matrix`` and ``basis_deriv_matrix`` skip the dense rows: one
-product with the value (or derivative) table without its binomial factors
-turns the coefficients into each span's Bernstein coefficients, of degree
-d (or d - 1), and a point dots one row of Bernstein weights (binomials
-included) with its span's.  Values, which prediction evaluates, place a
-point by arithmetic on the uniform breakpoints instead of a search; both
-steps are convex combinations, so a value stays within the range of the
-coefficients, up to rounding.  Slopes, which the fit's Gauss-Newton step
-evaluates, keep the binary search, so a degree-1 slope, which jumps at
-every knot, takes the same one-sided limits as the dense rows.
+product with the value (or derivative) pieces without their binomial
+factors turns the coefficients into each span's Bernstein coefficients, of
+degree d (or d - 1), and a point dots one row of Bernstein weights
+(binomials included) with its span's.  Values, which prediction evaluates,
+place a point by arithmetic on the uniform breakpoints instead of a
+search; both steps are convex combinations, so a value stays within the
+range of the coefficients, up to rounding.  Slopes, which the fit's
+Gauss-Newton step evaluates, keep the binary search, so a degree-1 slope,
+which jumps at every knot, takes its one-sided limits as below.  Dense
+derivative rows are the slopes of the J unit coefficient vectors.
 
-The tables are stored points-last, indexed [Bernstein index, local
+The value table is stored points-last, indexed [Bernstein index, local
 function, span], so gathering the spans of n points gives a block with n
 last and every inner loop of the evaluation runs along the n points, not
 along the d + 1 entries of one point (4 for the default cubic).
@@ -65,7 +66,6 @@ class KnotVector:
     _deriv_control: np.ndarray = field(init=False, repr=False, compare=False)
     _deriv_binomials: np.ndarray = field(init=False, repr=False, compare=False)
     _value_table: np.ndarray = field(init=False, repr=False, compare=False)
-    _deriv_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d, J = self.degree, self.basis_count
@@ -74,9 +74,7 @@ class KnotVector:
             [np.full(d + 1, -1.0), breaks[1:-1], np.full(d + 1, 1.0)]
         )
         knots.setflags(write=False)
-        width, control, deriv_control, values, derivs = _span_tables(
-            knots, d, J
-        )
+        width, control, deriv_control, values = _span_tables(knots, d, J)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_span_lo", knots[d:J])
         object.__setattr__(self, "_span_width", width)
@@ -89,7 +87,6 @@ class KnotVector:
             self, "_deriv_binomials", _binomials(d - 1)[1:-1, None]
         )
         object.__setattr__(self, "_value_table", values)
-        object.__setattr__(self, "_deriv_table", derivs)
 
 
 def _times_linear(
@@ -116,15 +113,14 @@ def _span_tables(
     values: the weight (v - T[j]) / (T[j+k] - T[j]) is linear on a span, so
     each stage multiplies the previous one by a linear polynomial.  The
     recurrence runs on [span - degree, Bernstein index, local function];
-    the value and derivative tables are contiguous copies indexed
-    [Bernstein index, local function, span - degree], with the binomial
-    factors folded in.  Local function a on span s is B_{s-d+a}.  The end
-    coefficients are formed by the same operations as point evaluation at
-    the span ends, which keeps the endpoint rows exactly one-hot.  The two
-    control matrices hold the value and derivative tables without their
-    binomial factors (the value table's local functions sum to one at every
-    Bernstein index), indexed [spline coefficient, (Bernstein index,
-    span - degree)].
+    the value table is a contiguous copy indexed [Bernstein index, local
+    function, span - degree], with the binomial factors folded in.  Local
+    function a on span s is B_{s-d+a}.  The end coefficients are formed by
+    the same operations as point evaluation at the span ends, which keeps
+    the endpoint rows exactly one-hot.  The two control matrices hold the
+    value and derivative pieces without their binomial factors (the value
+    pieces sum to one at every Bernstein index), indexed [spline
+    coefficient, (Bernstein index, span - degree)].
     """
     spans = np.arange(d, basis_count)
     lo, hi = T[spans], T[spans + 1]
@@ -158,11 +154,9 @@ def _span_tables(
         if a < d:
             den = (T[j + d + 1] - T[j + 1])[:, None]
             derivs[:, :, a] -= d / den * lower[:, :, a]
-    controls = [_control(pieces, basis_count) for pieces in (stage, derivs)]
-    derivs *= _binomials(d - 1)[:, None]
-    tables = stage * _binomials(d)[:, None], derivs
-    out = (hi - lo, *controls,
-           *(a.transpose(1, 2, 0).copy() for a in tables))
+    values = (stage * _binomials(d)[:, None]).transpose(1, 2, 0).copy()
+    out = (hi - lo, _control(stage, basis_count),
+           _control(derivs, basis_count), values)
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -240,8 +234,8 @@ def _row_starts(rows: int, basis_count: int) -> np.ndarray:
     return starts
 
 
-def _evaluate(kv: KnotVector, v: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Dense ``(len(v), basis_count)`` matrix from a span-local table.
+def _evaluate(kv: KnotVector, v: np.ndarray) -> np.ndarray:
+    """Dense ``(len(v), basis_count)`` basis rows from the value table.
 
     Only the ``degree + 1`` functions non-zero on a point's span are
     evaluated; every other entry is exactly 0.  The gather, the Bernstein
@@ -254,8 +248,8 @@ def _evaluate(kv: KnotVector, v: np.ndarray, table: np.ndarray) -> np.ndarray:
     first = _locate(kv, v)
     local = np.einsum(
         "kn,kjn->jn",
-        _bernstein(_local_coordinate(kv, v, first), table.shape[0] - 1),
-        table.take(first, axis=2),
+        _bernstein(_local_coordinate(kv, v, first), kv.degree),
+        kv._value_table.take(first, axis=2),
     )
     out = np.zeros((v.size, J))
     first += _row_starts(v.size, J)  # flat index of each row's span
@@ -266,14 +260,12 @@ def _evaluate(kv: KnotVector, v: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _span_index(kv: KnotVector, v: np.ndarray) -> np.ndarray:
     """Span of each point, counted from the first span, without a search.
 
-    For degree >= 1 it is ``min(floor((v + 1) (J - d) / 2), J - d - 1)``.
-    Within an ulp of an interior knot that may pick the neighbouring span,
-    putting t an ulp outside [0, 1]; the spline is continuous there, so the
-    value moves by rounding only.  A degree-0 spline jumps at its knots, so
-    it keeps ``_locate``'s binary search.
+    It is ``min(floor((v + 1) (J - d) / 2), J - d - 1)``.  Within an ulp of
+    an interior knot that may pick the neighbouring span, putting t an ulp
+    outside [0, 1]; a spline of degree >= 1 is continuous there, so the
+    value moves by rounding only.  A degree-0 spline, which jumps at its
+    knots, would take the wrong side; ``FitConfig.validate`` refuses it.
     """
-    if kv.degree == 0:
-        return _locate(kv, v)
     spans = kv.basis_count - kv.degree
     x = v + 1.0
     x *= 0.5 * spans
@@ -329,7 +321,7 @@ def basis_matrix(
     bit, and is a convex combination of the coefficients up to rounding.
     """
     if coeffs is None:
-        return _evaluate(kv, v, kv._value_table)
+        return _evaluate(kv, v)
     return _bernstein_form(
         kv, v, coeffs, kv._control_matrix, kv._inner_binomials, _span_index
     )
@@ -340,17 +332,20 @@ def basis_deriv_matrix(
 ) -> np.ndarray:
     """Evaluate first derivatives of all basis functions, or splines.
 
-    Takes the same points as ``basis_matrix``; without ``coeffs`` the dense
-    rows sum to 0.  With ``coeffs``, as for ``basis_matrix``, returns the
-    slopes from each span's degree - 1 Bernstein coefficients, which the
-    fit's Gauss-Newton step uses; each agrees with its entry of
-    ``basis_deriv_matrix(kv, v) @ coeffs`` to rounding.  Both modes place
-    points by ``_locate``'s binary search, so a degree-1 slope, which
-    jumps at every knot, takes its right limit there and its left limit at
-    v = 1.  Requires ``degree >= 1``, which ``FitConfig.validate`` enforces.
+    Takes the same points as ``basis_matrix``.  With ``coeffs``, as for
+    ``basis_matrix``, returns the slopes from each span's degree - 1
+    Bernstein coefficients, which the fit's Gauss-Newton step uses.
+    Without, returns the ``(len(v), basis_count)`` dense rows, which sum to
+    0, as the slopes of the J unit coefficient vectors: an entry outside a
+    function's support is exactly 0.  Points are placed by ``_locate``'s
+    binary search, so a degree-1 slope, which jumps at every knot, takes
+    its right limit there and its left limit at v = 1.  Requires
+    ``degree >= 1``, which ``FitConfig.validate`` enforces.
     """
-    if coeffs is None:
-        return _evaluate(kv, v, kv._deriv_table)
-    return _bernstein_form(
+    J, dense = kv.basis_count, coeffs is None
+    if dense:
+        v, coeffs = np.tile(v, J), np.eye(J)
+    slopes = _bernstein_form(
         kv, v, coeffs, kv._deriv_control, kv._deriv_binomials, _locate
     )
+    return slopes.reshape(J, -1).T if dense else slopes

@@ -3,12 +3,15 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eppr
 from eppr.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
@@ -362,6 +365,28 @@ def _one_error_line(err: str) -> bool:
     )
 
 
+# A child's address-space cap: about four times what a small train or
+# predict maps, and far below what an oversized spline asks for.
+_CAP_BYTES = 1 << 30
+
+
+def _capped_main(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)`` in a child process whose
+    address space is capped, so an oversized allocation fails at once; a
+    child that runs for 10 s fails the test."""
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({_CAP_BYTES},) * 2)\n"
+        "from eppr.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(eppr.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                           capture_output=True, text=True, timeout=10)
+    return child.returncode, child.stderr
+
+
 @pytest.mark.parametrize("command", ["train", "synth"])
 def test_non_finite_flag_is_usage_error(tmp_path, capsys, command) -> None:
     out = tmp_path / "out"
@@ -569,6 +594,19 @@ def _J_equal_to_degree(doc: dict) -> None:
     doc["config"]["degree"] = doc["config"]["J"]
 
 
+def _J_100000(doc: dict) -> None:
+    doc["config"]["J"] = 100_000
+
+
+def _degree_1100(doc: dict) -> None:
+    doc["config"]["degree"] = 1100
+    doc["config"]["J"] = 1101
+
+
+# Tables for these would take gigabytes or minutes to build.
+_OVERSIZED = (_J_100000, _degree_1100)
+
+
 def _largest_float_coefficients(doc: dict) -> None:
     # Every coefficient is the largest float, so the spline values and
     # their sum already sit at the overflow edge: rounding up gives inf.
@@ -596,7 +634,7 @@ OVERFLOW = "1e999"
      _fractional_k, _bool_k, _fractional_config_count, _fractional_bic_step,
      _bool_scaler_bounds, _bool_nu, _member_variant_number,
      _member_variant_not_the_configs, _degree_zero, _J_equal_to_degree,
-     _largest_float_coefficients],
+     _largest_float_coefficients, *_OVERSIZED],
 )
 def test_malformed_model_is_one_line_usage_error(
     tmp_path, capsys, mutate
@@ -610,15 +648,24 @@ def test_malformed_model_is_one_line_usage_error(
     mutate(doc)
     model_path.write_text(json.dumps(doc).replace(f'"{OVERFLOW}"', OVERFLOW))
     capsys.readouterr()
-    code = main(["predict", "--model", str(model_path), "--data", data,
-                 "--out", str(tmp_path / "p.csv")])
+    argv = ["predict", "--model", str(model_path), "--data", data,
+            "--out", str(tmp_path / "p.csv")]
+    if mutate in _OVERSIZED:
+        code, err = _capped_main(argv)
+    else:
+        code, err = main(argv), capsys.readouterr().err
     assert code == EXIT_USAGE
-    assert _one_error_line(capsys.readouterr().err)
+    assert _one_error_line(err)
     assert not (tmp_path / "p.csv").exists()
+
+
+# A spline this large is refused before its tables are built.
+_OVERSIZED_FLAGS = [("--J", "100000"), ("--degree", "1100")]
 
 
 @pytest.mark.parametrize("flag, value", [
     ("--J", "3"), ("--degree", "0"), ("--ell", "0"), ("--q", "10"),
+    *_OVERSIZED_FLAGS,
 ])
 def test_train_refuses_config_the_fit_relies_on(
     tmp_path, capsys, flag, value
@@ -627,10 +674,14 @@ def test_train_refuses_config_the_fit_relies_on(
     data = synth_file(tmp_path, scenario="ppr3", n=120, p=9)
     out = tmp_path / "m.json"
     capsys.readouterr()
-    code = main(["train", "--data", data, "--target", "y", "--out", str(out),
-                 "--B", "1", "--kmax", "1", flag, value])
+    argv = ["train", "--data", data, "--target", "y", "--out", str(out),
+            "--B", "1", "--kmax", "1", flag, value]
+    if (flag, value) in _OVERSIZED_FLAGS:
+        code, err = _capped_main(argv)
+    else:
+        code, err = main(argv), capsys.readouterr().err
     assert code == EXIT_USAGE
-    assert _one_error_line(capsys.readouterr().err)
+    assert _one_error_line(err)
     assert not out.exists()
 
 

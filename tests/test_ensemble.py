@@ -93,6 +93,16 @@ class TestDefaultConfig:
             with pytest.raises(ConfigError):
                 small_config(nu=nu).validate()
 
+    def test_validate_bounds_the_spline(self) -> None:
+        top_J, top_degree = ensemble._MAX_J, ensemble._MAX_DEGREE
+        small_config(J=top_J).validate()
+        small_config(J=top_degree + 1, degree=top_degree).validate()
+        for bad in (dict(J=top_J + 1), dict(J=100_000),
+                    dict(J=top_degree + 2, degree=top_degree + 1),
+                    dict(J=1101, degree=1100)):
+            with pytest.raises(ConfigError):
+                small_config(**bad).validate()
+
 
 class TestPredictAlgebra:
     def test_single_member_equals_that_member(self) -> None:
@@ -173,6 +183,15 @@ class TestPredictAlgebra:
         with pytest.raises(NumericError):
             fit(X, np.where(np.arange(len(y)) == 0, np.inf, y),
                 small_config())
+
+    def test_too_few_samples_rejected(self, monkeypatch) -> None:
+        cfg = small_config(q=2, J=7, B=1, k_max=1)
+        X, y = training_data(n=10, p=2)
+        assert fit(X, y, cfg).members  # n = J + q + 1 rows fit
+        # n = J + q is refused before a knot vector is built.
+        monkeypatch.setattr(ensemble, "make_uniform_knots", None)
+        with pytest.raises(ConfigError, match="samples"):
+            fit(X[:9], y[:9], cfg)
 
 
 class TestTruncation:

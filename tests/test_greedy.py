@@ -8,7 +8,7 @@ import pytest
 
 from eppr import ensemble, greedy, spline
 from eppr.ensemble import FitConfig
-from eppr.errors import ConfigError, NumericError
+from eppr.errors import NumericError
 from eppr.greedy import (
     RunData,
     bic_value,
@@ -307,15 +307,6 @@ class TestRunGreedy:
             np.testing.assert_allclose(
                 model.predict(Xq), total, atol=1e-10
             )
-
-    def test_too_few_samples_rejected(self) -> None:
-        data = RunData(
-            X=np.zeros((8, 2)), y=np.zeros(8), kv=make_uniform_knots(7, 3)
-        )
-        cfg = make_config(q=2, ell=1, k_max=1)
-        with pytest.raises(ConfigError, match="samples"):
-            run_greedy(data, cfg, np.random.default_rng(15))
-
 
 
 class TestCandidateFallbacks:

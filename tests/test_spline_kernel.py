@@ -113,7 +113,7 @@ class TestKernelMatchesReference:
         assert np.array_equal(rows, expected)
 
 
-def reference_evaluate(kv: KnotVector, v: np.ndarray, table) -> np.ndarray:
+def reference_evaluate(kv: KnotVector, v: np.ndarray) -> np.ndarray:
     """The span-local evaluation as first written, with numpy's wrappers.
 
     It contracts points-first, over the [span, Bernstein index, local
@@ -127,8 +127,8 @@ def reference_evaluate(kv: KnotVector, v: np.ndarray, table) -> np.ndarray:
     t = (v - np.take(kv.knots[d:J], first)) / np.take(kv._span_width, first)
     local = np.einsum(
         "nk,nkj->nj",
-        _bernstein(t, table.shape[0] - 1).T,
-        np.take(table.transpose(2, 0, 1), first, axis=0),
+        _bernstein(t, d).T,
+        np.take(kv._value_table.transpose(2, 0, 1), first, axis=0),
     )
     out = np.zeros((v.size, J))
     cols = (np.arange(0, v.size * J, J) + first)[:, None] + np.arange(d + 1)
@@ -152,21 +152,21 @@ class TestKernelMatchesWrappedKernel:
             "bulk": rng.uniform(-1.0, 1.0, 20_000),
         }
 
-    @pytest.mark.parametrize("kind", ["value", "deriv"])
+    @pytest.mark.parametrize("kind", ["value"])
     def test_bit_identical(self, spans: int, degree: int, kind: str) -> None:
         kv = make_uniform_knots(degree + spans, degree)
-        evaluate = basis_matrix if kind == "value" else basis_deriv_matrix
-        table = kv._value_table if kind == "value" else kv._deriv_table
         for name, v in self.points(kv).items():
-            got, expected = evaluate(kv, v), reference_evaluate(kv, v, table)
+            got, expected = basis_matrix(kv, v), reference_evaluate(kv, v)
             assert got.shape == expected.shape, name
             assert got.tobytes() == expected.tobytes(), name
 
 
 # Bernstein-form spline values against the dense design times the
 # coefficients.  Both round differently, so they agree to a tolerance
-# relative to the largest coefficient, not bit for bit.
-COEFF_CASES = CASES + [(9, 5), (40, 3)]
+# relative to the largest coefficient, not bit for bit.  The coefficient
+# path places points by arithmetic, which needs a continuous spline, so it
+# takes degree >= 1 only.
+COEFF_CASES = [case for case in CASES if case[1] >= 1] + [(9, 5), (40, 3)]
 COEFF_TOL = 1e-14
 
 
