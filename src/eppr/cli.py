@@ -489,6 +489,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     X, y, doc = generate_scenario(args.scenario, args.n, args.p, args.noise,
                                   rng)
@@ -585,6 +587,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write {exc.filename or 'output'}: "
               f"{exc.strerror}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # a table or flag too large for this host
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

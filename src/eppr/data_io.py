@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
@@ -188,7 +189,8 @@ def _load_columns(
 ) -> tuple[list[str], np.ndarray, int]:
     """Header, the float matrix of the chosen columns and the dropped count.
 
-    ``choose`` maps the header to the column indices to keep.  Blank lines
+    ``choose`` maps the header to the column indices to keep; a kept
+    column whose name the header repeats is refused.  Blank lines
     are skipped, and a row is dropped when its width differs from the
     header's or one of its chosen cells is not a finite number.  numpy
     parses the body piece by piece.  From the first piece it rejects to
@@ -202,7 +204,11 @@ def _load_columns(
             if header is None:
                 raise DataError("no_rows", f"{path} is empty")
             header = [name.strip() for name in header]
-            cols = choose(header)
+            cols, counts = choose(header), collections.Counter(header)
+            for j in cols:
+                if counts[header[j]] > 1:
+                    raise DataError("repeated_column", f"{path} names "
+                                    f"column {header[j]!r} more than once")
             parts, n_rows = [np.empty((0, len(cols)))], 0
             for text in _pieces(handle):
                 block = _parse_piece(text, len(header))

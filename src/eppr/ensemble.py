@@ -142,9 +142,10 @@ def _column_names(names, p: int) -> list[str] | None:
     if names is not None and not (
         isinstance(names, list) and len(names) == p + 1
         and all(isinstance(name, str) for name in names)
+        and len(set(names)) == len(names)
     ):
         raise ConfigError(
-            f"column_names must be null or {p + 1} strings: the "
+            f"column_names must be null or {p + 1} distinct strings: the "
             "predictors, then the target"
         )
     return names
@@ -264,9 +265,10 @@ def from_json_text(text: str) -> EnsembleModel:
     members, subset indices outside the stored predictor count, weight
     count or ``k`` that disagrees with the ridge count, a member variant
     other than the config's, ``column_names`` other than null or one
-    string per predictor and one for the target, a scaling range that is
-    reversed or overflows, predictions that could overflow, a truncation
-    that is not positive) raises ``ConfigError``.
+    distinct string per predictor and one for the target, a scaling range
+    that is reversed or overflows, predictions that could overflow, a
+    truncation that is not positive, lists or objects nested past the
+    recursion limit) raises ``ConfigError``.
     """
     try:
         doc = json.loads(text, parse_float=_finite_float,
@@ -275,7 +277,7 @@ def from_json_text(text: str) -> EnsembleModel:
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError,
-            OverflowError) as exc:
+            OverflowError, RecursionError) as exc:
         detail = " ".join(f"{type(exc).__name__}: {exc}".split())
         raise ConfigError(f"not a model document ({detail})")
 

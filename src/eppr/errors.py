@@ -16,7 +16,8 @@ class DataError(EpprError):
     ``missing_file``, ``not_utf8``, ``bad_csv`` (the ``csv`` module
     refused the text, such as a cell over its field limit),
     ``missing_target``, ``no_rows``, ``non_numeric_column``,
-    ``too_few_rows``.
+    ``too_few_rows``, ``repeated_column`` (a column the reader keeps is
+    named twice in the header).
     """
 
     def __init__(self, code: str, message: str):

@@ -2,8 +2,9 @@
 
 Evaluation is span-local.  Each ``KnotVector`` builds, once, the Bernstein
 coefficients of the ``degree + 1`` basis pieces that are non-zero on each
-knot span, for the values and for the first derivatives (de Boor, *A
-Practical Guide to Splines*; Piegl & Tiller, *The NURBS Book*, A2.2/A2.3).
+knot span by one recurrence, and their slopes as the scaled differences of
+those coefficients (de Boor, *A Practical Guide to Splines*; Farin,
+*Curves and Surfaces for CAGD*; Piegl & Tiller, *The NURBS Book*, A2.2).
 For the dense value rows the fit's least-squares solves use, a point is
 located by one binary search, its local coordinate t = (v - T[span]) /
 (T[span+1] - T[span]) weights the span's table, and the ``degree + 1``
@@ -62,9 +63,7 @@ class KnotVector:
     _inner_knots: np.ndarray = field(init=False, repr=False, compare=False)
     _local_cols: np.ndarray = field(init=False, repr=False, compare=False)
     _control_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    _inner_binomials: np.ndarray = field(init=False, repr=False, compare=False)
     _deriv_control: np.ndarray = field(init=False, repr=False, compare=False)
-    _deriv_binomials: np.ndarray = field(init=False, repr=False, compare=False)
     _value_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -81,11 +80,7 @@ class KnotVector:
         object.__setattr__(self, "_inner_knots", knots[d + 1:J])
         object.__setattr__(self, "_local_cols", np.arange(d + 1)[:, None])
         object.__setattr__(self, "_control_matrix", control)
-        object.__setattr__(self, "_inner_binomials", _binomials(d)[1:-1, None])
         object.__setattr__(self, "_deriv_control", deriv_control)
-        object.__setattr__(
-            self, "_deriv_binomials", _binomials(d - 1)[1:-1, None]
-        )
         object.__setattr__(self, "_value_table", values)
 
 
@@ -117,18 +112,17 @@ def _span_tables(
     function, span - degree], with the binomial factors folded in.  Local
     function a on span s is B_{s-d+a}.  The end coefficients are formed by
     the same operations as point evaluation at the span ends, which keeps
-    the endpoint rows exactly one-hot.  The two control matrices hold the
-    value and derivative pieces without their binomial factors (the value
-    pieces sum to one at every Bernstein index), indexed [spline
-    coefficient, (Bernstein index, span - degree)].
+    the endpoint rows exactly one-hot.  Derivative piece k on span s is
+    d / (T[s+1] - T[s]) times value piece k + 1 less value piece k.  The
+    two control matrices hold the value and derivative pieces without their
+    binomial factors (the value pieces sum to one at every Bernstein
+    index), indexed [spline coefficient, (Bernstein index, span - degree)].
     """
     spans = np.arange(d, basis_count)
     lo, hi = T[spans], T[spans + 1]
     stage = np.ones((spans.size, 1, 1))
-    lower = stage
     for k in range(1, d + 1):
-        lower = stage
-        stage = np.zeros((spans.size, k + 1, k + 1))
+        lower, stage = stage, np.zeros((spans.size, k + 1, k + 1))
         for a in range(k + 1):
             j = spans - k + a
             if a > 0:
@@ -143,20 +137,11 @@ def _span_tables(
                     (T[j + k + 1] - lo) / den,
                     (T[j + k + 1] - hi) / den,
                 )
-    # d/dv B_{j,d} = d B_{j,d-1} / (T[j+d] - T[j])
-    #              - d B_{j+1,d-1} / (T[j+d+1] - T[j+1]), on degree d - 1.
-    derivs = np.zeros((spans.size, d, d + 1))
-    for a in range(d + 1):
-        j = spans - d + a
-        if a > 0:
-            den = (T[j + d] - T[j])[:, None]
-            derivs[:, :, a] += d / den * lower[:, :, a - 1]
-        if a < d:
-            den = (T[j + d + 1] - T[j + 1])[:, None]
-            derivs[:, :, a] -= d / den * lower[:, :, a]
+    width = hi - lo
+    slopes = d / width[:, None, None] * np.diff(stage, axis=1)
     values = (stage * _binomials(d)[:, None]).transpose(1, 2, 0).copy()
-    out = (hi - lo, _control(stage, basis_count),
-           _control(derivs, basis_count), values)
+    out = (width, _control(stage, basis_count),
+           _control(slopes, basis_count), values)
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -165,9 +150,9 @@ def _span_tables(
 def _control(pieces: np.ndarray, basis_count: int) -> np.ndarray:
     """[spline coefficient, (Bernstein index, span)] from span pieces.
 
-    ``pieces`` is indexed [span, Bernstein index, local function]; local
-    function a on span s is placed at coefficient s + a, so coefficients
-    times the result give each span's Bernstein coefficients.
+    ``pieces`` (values or slopes) is indexed [span, Bernstein index, local
+    function]; local function a on span s is placed at coefficient s + a,
+    so coefficients times the result give each span's Bernstein form.
     """
     spans, order, width = pieces.shape
     control = np.zeros((basis_count, order, spans))
@@ -177,8 +162,11 @@ def _control(pieces: np.ndarray, basis_count: int) -> np.ndarray:
     return control.reshape(basis_count, -1)
 
 
+@lru_cache(maxsize=16)
 def _binomials(n: int) -> np.ndarray:
-    return np.array([math.comb(n, i) for i in range(n + 1)], dtype=float)
+    out = np.array([math.comb(n, i) for i in range(n + 1)], dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def make_uniform_knots(basis_count: int, degree: int) -> KnotVector:
@@ -273,21 +261,22 @@ def _span_index(kv: KnotVector, v: np.ndarray) -> np.ndarray:
     return np.minimum(span, spans - 1, out=span)
 
 
-def _bernstein_form(kv, v, coeffs, control_matrix, binomials, place):
+def _bernstein_form(kv, v, coeffs, control_matrix, place):
     """Splines through their per-span Bernstein coefficients.
 
     One product of the (R, basis_count) coefficient stack with
     ``control_matrix`` gives every spline's Bernstein coefficients on every
     span; row r of the stack acts on the r-th of R equal runs of ``v``.
     ``place(kv, points)`` puts each point on its span, and the point dots
-    one row of Bernstein weights, ``binomials`` folded into its inner
-    entries, with its span's coefficients.
+    one row of Bernstein weights, binomials of the table's degree folded
+    into its inner entries, with its span's coefficients.
     """
     stack = coeffs.reshape(-1, kv.basis_count)
     R = len(stack)
     # [spline, Bernstein index, span]
     control = (stack @ control_matrix).reshape(R, -1, kv._span_lo.size)
     degree = control.shape[1] - 1
+    binomials = _binomials(degree)[1:-1, None]
     out = np.empty(v.size)
     for points, values, tables in zip(
         v.reshape(R, -1), out.reshape(R, -1), control
@@ -322,9 +311,7 @@ def basis_matrix(
     """
     if coeffs is None:
         return _evaluate(kv, v)
-    return _bernstein_form(
-        kv, v, coeffs, kv._control_matrix, kv._inner_binomials, _span_index
-    )
+    return _bernstein_form(kv, v, coeffs, kv._control_matrix, _span_index)
 
 
 def basis_deriv_matrix(
@@ -333,8 +320,9 @@ def basis_deriv_matrix(
     """Evaluate first derivatives of all basis functions, or splines.
 
     Takes the same points as ``basis_matrix``.  With ``coeffs``, as for
-    ``basis_matrix``, returns the slopes from each span's degree - 1
-    Bernstein coefficients, which the fit's Gauss-Newton step uses.
+    ``basis_matrix``, returns the slopes, which the fit's Gauss-Newton step
+    uses, from each span's degree - 1 Bernstein coefficients: the scaled
+    differences of its value coefficients.
     Without, returns the ``(len(v), basis_count)`` dense rows, which sum to
     0, as the slopes of the J unit coefficient vectors: an entry outside a
     function's support is exactly 0.  Points are placed by ``_locate``'s
@@ -345,7 +333,5 @@ def basis_deriv_matrix(
     J, dense = kv.basis_count, coeffs is None
     if dense:
         v, coeffs = np.tile(v, J), np.eye(J)
-    slopes = _bernstein_form(
-        kv, v, coeffs, kv._deriv_control, kv._deriv_binomials, _locate
-    )
+    slopes = _bernstein_form(kv, v, coeffs, kv._deriv_control, _locate)
     return slopes.reshape(J, -1).T if dense else slopes

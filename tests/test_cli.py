@@ -387,7 +387,13 @@ def _capped_main(argv: list[str]) -> tuple[int, str]:
     return child.returncode, child.stderr
 
 
-@pytest.mark.parametrize("command", ["train", "synth"])
+# Other synth flags refused the same way, run in a capped child: a negative
+# seed, which numpy's seeding refuses, and 9e11 cells, beyond any memory.
+_SYNTH_FLAGS = {"synth_negative_seed": ["--seed", "-1"],
+                "synth_out_of_memory": ["--n", "100000000000"]}
+
+
+@pytest.mark.parametrize("command", ["train", "synth", *_SYNTH_FLAGS])
 def test_non_finite_flag_is_usage_error(tmp_path, capsys, command) -> None:
     out = tmp_path / "out"
     if command == "train":
@@ -395,10 +401,15 @@ def test_non_finite_flag_is_usage_error(tmp_path, capsys, command) -> None:
                 "--out", str(out), "--nu", "nan"]
     else:
         argv = ["synth", "--scenario", "ppr3", "--n", "10", "--p", "9",
-                "--noise", "nan", "--out", str(out)]
+                "--out", str(out),
+                *_SYNTH_FLAGS.get(command, ["--noise", "nan"])]
     capsys.readouterr()
-    assert main(argv) == EXIT_USAGE
-    assert _one_error_line(capsys.readouterr().err)
+    if command in _SYNTH_FLAGS:
+        code, err = _capped_main(argv)
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert _one_error_line(err)
     assert not out.exists()
 
 
@@ -534,6 +545,16 @@ def _column_names_not_strings(doc: dict) -> None:
     doc["column_names"] = list(range(len(doc["column_names"])))
 
 
+def _column_names_repeated(doc: dict) -> None:
+    # predict matches features by name, so both would read column x1.
+    doc["column_names"][1] = doc["column_names"][0]
+
+
+def _nested_lists(doc: dict) -> str:
+    # The whole file: 2 KB of lists nested deeper than the recursion limit.
+    return "[" * 1000 + "]" * 1000
+
+
 # Each of these loaded and predicted once: float() parsed a quoted number,
 # numpy read true as 1.0, and int() truncated 0.9, 1.7 and true.
 def _quoted_coefficient_and_intercept(doc: dict) -> None:
@@ -629,7 +650,8 @@ OVERFLOW = "1e999"
      _overflowing_int_intercept, _overflowing_scaler_range,
      _overflowing_scaling_range, _reversed_scaling_range, _negative_truncation,
      _column_names_object, _column_names_number, _column_names_one_short,
-     _column_names_not_strings, _quoted_coefficient_and_intercept,
+     _column_names_not_strings, _column_names_repeated, _nested_lists,
+     _quoted_coefficient_and_intercept,
      _quoted_truncation, _bool_weight, _fractional_subset_index,
      _fractional_k, _bool_k, _fractional_config_count, _fractional_bic_step,
      _bool_scaler_bounds, _bool_nu, _member_variant_number,
@@ -645,8 +667,8 @@ def test_malformed_model_is_one_line_usage_error(
                  "--out", str(model_path), "--B", "1", "--kmax", "1",
                  "--stopping", "fixed_k"]) == EXIT_OK
     doc = json.loads(model_path.read_text())
-    mutate(doc)
-    model_path.write_text(json.dumps(doc).replace(f'"{OVERFLOW}"', OVERFLOW))
+    text = mutate(doc) or json.dumps(doc).replace(f'"{OVERFLOW}"', OVERFLOW)
+    model_path.write_text(text)
     capsys.readouterr()
     argv = ["predict", "--model", str(model_path), "--data", data,
             "--out", str(tmp_path / "p.csv")]
@@ -834,6 +856,50 @@ def test_oversized_csv_cell_is_one_line_file_error(
     err = capsys.readouterr().err
     assert _one_error_line(err) and str(big) in err
     assert not (tmp_path / "m.json").exists()
+
+
+def _rename_columns(path: str, header: str, copy_from: int | None = None):
+    """``path`` with a new header; ``copy_from`` appends a copy of a column."""
+    lines = Path(path).read_text().splitlines()
+    if copy_from is not None:
+        lines = [f"{line},{line.split(',')[copy_from]}" for line in lines]
+    renamed = Path(path).with_name("renamed.csv")
+    renamed.write_text("\n".join([header] + lines[1:]) + "\n")
+    return str(renamed)
+
+
+@pytest.mark.parametrize("case", ["train", "predict_feature", "predict_unused"])
+def test_repeated_column_name(tmp_path, capsys, case) -> None:
+    """A repeated name among the columns read is a file error, exit 3.
+
+    predict matches features by name, so a repeat would feed one column to
+    two features; a repeat among the columns it ignores is harmless.
+    """
+    data = synth_file(tmp_path, p=2)
+    model_path, out = tmp_path / "model.json", tmp_path / "p.csv"
+    train = ["train", "--target", "y", "--out", str(model_path),
+             "--B", "1", "--kmax", "1", "--stopping", "fixed_k"]
+    if case == "train":
+        argv = train + ["--data", _rename_columns(data, "x,x,y")]
+        out = model_path
+    else:
+        assert main(train + ["--data", data]) == EXIT_OK
+        header, copy_from = "x1,x2,y,x1", 0
+        if case == "predict_unused":
+            header, copy_from = "x1,x2,y,y", 2
+        argv = ["predict", "--model", str(model_path), "--out", str(out),
+                "--data", _rename_columns(data, header, copy_from)]
+    capsys.readouterr()
+    code, err = main(argv), capsys.readouterr().err
+    if case == "predict_unused":
+        assert code == EXIT_OK and err == ""
+        assert main(["predict", "--model", str(model_path), "--data", data,
+                     "--out", str(tmp_path / "q.csv")]) == EXIT_OK
+        assert out.read_bytes() == (tmp_path / "q.csv").read_bytes()
+        return
+    assert code == EXIT_IO
+    assert _one_error_line(err) and "'x" in err and "more than once" in err
+    assert not out.exists()
 
 
 def test_non_utf8_model_is_one_line_usage_error(tmp_path, capsys) -> None:

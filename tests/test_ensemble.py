@@ -308,6 +308,8 @@ class TestSerialization:
         X, y = training_data(seed=12)
         with pytest.raises(ConfigError, match="column_names"):
             fit(X, y, small_config(), column_names=["a", "b", "c"])
+        with pytest.raises(ConfigError, match="distinct"):
+            fit(X, y, small_config(), column_names=["a", "b", "a", "y"])
 
     def test_rejects_unknown_format(self) -> None:
         with pytest.raises(ConfigError):

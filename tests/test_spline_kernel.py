@@ -16,8 +16,10 @@ from eppr.spline import (
     make_uniform_knots,
 )
 
+# (40, 10) has the largest degree FitConfig allows; the largest J, 500, is
+# in COEFF_CASES and test_largest_J_matches_reference.
 CASES = [(2, 1), (4, 0), (4, 3), (6, 3), (7, 3), (9, 3), (12, 2), (30, 3),
-         (8, 5)]
+         (8, 5), (40, 10)]
 TOL = 1e-13
 
 
@@ -113,6 +115,21 @@ class TestKernelMatchesReference:
         assert np.array_equal(rows, expected)
 
 
+def test_largest_J_matches_reference() -> None:
+    # At J = 500 a basis derivative reaches d (J - d) / 2 = 745, whose ulp,
+    # 1.1e-13, exceeds TOL, so the dense derivative rows are held to the
+    # slope tolerance's scale, d (J - d) for unit coefficients.
+    kv = make_uniform_knots(500, 3)
+    v = probe_points(kv)
+    assert np.abs(basis_matrix(kv, v) - reference_basis(kv, v)).max() <= TOL
+    deriv = basis_deriv_matrix(kv, v)
+    err = np.abs(deriv - reference_deriv(kv, v)).max()
+    assert err <= SLOPE_TOL * 3 * 497
+    j = np.arange(500)
+    outside = (v[:, None] < kv.knots[j]) | (v[:, None] > kv.knots[j + 4])
+    assert np.all(deriv[outside] == 0.0)
+
+
 def reference_evaluate(kv: KnotVector, v: np.ndarray) -> np.ndarray:
     """The span-local evaluation as first written, with numpy's wrappers.
 
@@ -166,7 +183,8 @@ class TestKernelMatchesWrappedKernel:
 # relative to the largest coefficient, not bit for bit.  The coefficient
 # path places points by arithmetic, which needs a continuous spline, so it
 # takes degree >= 1 only.
-COEFF_CASES = [case for case in CASES if case[1] >= 1] + [(9, 5), (40, 3)]
+COEFF_CASES = [case for case in CASES if case[1] >= 1] + [
+    (9, 5), (40, 3), (500, 3)]
 COEFF_TOL = 1e-14
 
 
@@ -258,11 +276,11 @@ class TestCoefficientPath:
 # design times the coefficients.  A slope is of order max|coeffs| times
 # d (J - d), the largest basis derivative on knots 2 / (J - d) apart, so
 # the tolerance scales with that; the worst measured error over the grid
-# below is 3.1e-16 of it.
+# below is 2.6e-16 of it.
 SLOPE_TOL = 2e-15
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 10])
 class TestSlopeCoefficientPath:
     def test_matches_dense_product(self, degree: int) -> None:
         for J in range(degree + 1, 31):
