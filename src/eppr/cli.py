@@ -384,16 +384,6 @@ def run_benchmark(
 # Commands
 
 
-def _resolve_target(path: str, target: str) -> Dataset:
-    """Load with the target given by name, falling back to a column index."""
-    try:
-        return load_csv(path, target)
-    except DataError as exc:
-        if exc.code == "missing_target" and target.lstrip("-").isdigit():
-            return load_csv(path, int(target))
-        raise
-
-
 def _fit_flags(args: argparse.Namespace) -> dict:
     """FitConfig fields given as flags; each flag's dest is its field name."""
     return {
@@ -437,7 +427,7 @@ def _check_writable(path: str) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     # Checked before the fit, which can take minutes, rather than at save.
     _check_writable(args.out)
-    dataset = _resolve_target(args.data, args.target)
+    dataset = load_csv(args.data, args.target)
     n, p = dataset.X.shape
     config = replace(
         ensemble.default_config(n, p), **_fit_flags(args), seed=args.seed
@@ -470,7 +460,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    dataset = _resolve_target(args.data, args.target)
+    dataset = load_csv(args.data, args.target)
     report = run_benchmark(
         dataset,
         task=args.task,

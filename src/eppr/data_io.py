@@ -5,7 +5,6 @@ from __future__ import annotations
 import collections
 import csv
 import io
-import itertools
 import logging
 import math
 import warnings
@@ -136,10 +135,12 @@ def _no_finite_row(
     ``matrix`` holds the chosen cells of every non-blank body row as wide
     as the header, NaN where ``float()`` refused a cell.  A chosen column
     that never holds a finite number there is a load error rather than
-    silently encoded; otherwise the file has no usable rows.
+    silently encoded, and an unnamed one is named by its 1-based
+    position; otherwise the file has no usable rows.
     """
     seen = np.isfinite(matrix).any(axis=0)
-    never_numeric = [header[j] for j, ok in zip(cols, seen) if not ok]
+    never_numeric = [header[j] or f"column {j + 1} (unnamed)"
+                     for j, ok in zip(cols, seen) if not ok]
     if matrix.shape[0] and never_numeric:
         return DataError(
             "non_numeric_column",
@@ -190,16 +191,18 @@ def _load_columns(
     """Header, the float matrix of the chosen columns and the dropped count.
 
     ``choose`` maps the header to the column indices to keep; a kept
-    column whose name the header repeats is refused.  Blank lines
+    column whose name the header repeats is refused.  A UTF-8 byte order
+    mark before the header is not part of the first name.  Blank lines
     are skipped, and a row is dropped when its width differs from the
     header's or one of its chosen cells is not a finite number.  numpy
-    parses the body piece by piece.  From the first piece it rejects to
-    the end of the file, rows go through the per-row rules instead, so
-    only that piece is tokenised twice.  Every failure to read the file
-    is a ``DataError``.
+    parses the body piece by piece; a piece it rejects goes through the
+    per-row rules alone, and the next piece goes back to numpy.  A
+    rejected piece holding a quote runs to the end of the file, since a
+    quote inside a cell can leave its last line inside a quoted cell.
+    Every failure to read the file is a ``DataError``.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             header = next(csv.reader(handle), None)
             if header is None:
                 raise DataError("no_rows", f"{path} is empty")
@@ -213,15 +216,15 @@ def _load_columns(
             for text in _pieces(handle):
                 block = _parse_piece(text, len(header))
                 if block is None:
-                    lines = itertools.chain(
-                        io.StringIO(text, newline=""), handle
-                    )
-                    rest = _non_blank(csv.reader(lines))
-                    parts.append(_chosen_cells(header, rest, cols))
-                    n_rows += len(rest)
-                    break
-                parts.append(block[:, cols])
-                n_rows += block.shape[0]
+                    if '"' in text:
+                        text += handle.read()
+                    lines = io.StringIO(text, newline="")
+                    rows = _non_blank(csv.reader(lines))
+                    parts.append(_chosen_cells(header, rows, cols))
+                    n_rows += len(rows)
+                else:
+                    parts.append(block[:, cols])
+                    n_rows += block.shape[0]
             full = np.concatenate(parts)
             matrix, dropped = _keep_finite(path, full, n_rows)
             if not matrix.shape[0]:
@@ -241,30 +244,33 @@ def load_csv(path: str, target: str | int) -> Dataset:
     """Read a headed CSV into a Dataset, dropping rows with bad cells.
 
     ``target`` selects the response column by name or by position in the
-    header.  Every column is parsed under the rules of ``_load_columns``.
+    header; a string that names no column but reads as an integer, such
+    as ``"2"``, is a position.  The file is read once, and every column
+    is parsed under the rules of ``_load_columns``.
     """
 
     def every_column(header: list[str]) -> list[int]:
-        if isinstance(target, int):
-            if not (0 <= target < len(header)):
-                raise DataError(
-                    "missing_target",
-                    f"target index {target} outside 0..{len(header) - 1}",
-                )
-        elif target not in header:
+        nonlocal target
+        if target in header:
+            target = header.index(target)
+        elif not str(target).removeprefix("-").isdecimal():
             raise DataError(
                 "missing_target", f"target column {target!r} not in header"
+            )
+        target = int(target)
+        if not (0 <= target < len(header)):
+            raise DataError(
+                "missing_target",
+                f"target index {target} outside 0..{len(header) - 1}",
             )
         return list(range(len(header)))
 
     header, matrix, dropped = _load_columns(path, every_column)
-    target_idx = target if isinstance(target, int) else header.index(target)
-    n_cols = len(header)
-    feature_cols = [j for j in range(n_cols) if j != target_idx]
-    names = [header[j] for j in feature_cols] + [header[target_idx]]
+    feature_cols = [j for j in range(len(header)) if j != target]
+    names = [header[j] for j in feature_cols] + [header[target]]
     return Dataset(
         X=matrix[:, feature_cols],
-        y=matrix[:, target_idx],
+        y=matrix[:, target],
         column_names=names,
         dropped_rows=dropped,
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data_io import ColumnScaling
 from .errors import ConfigError, DataError, NumericError
-from .greedy import PprModel, RunData, run_greedy
+from .greedy import PprModel, RunData, bic_value, run_greedy
 from .singleindex import ProjectionScaler, Ridge
 from .spline import KnotVector, make_uniform_knots
 
@@ -165,7 +165,8 @@ def fit(
     the calling thread; ``workers`` is accepted and has no effect.
     Non-finite data, a predictor whose max - min overflows float64 and a
     response whose mean or sum of squares overflows raise ``NumericError``
-    before any member is fitted; n <= J + q rows raise ``ConfigError``
+    before any member is fitted; n <= J + q rows and a ``nu`` whose BIC
+    penalty at ``k_max`` terms overflows float64 raise ``ConfigError``
     before the knots are built.
     """
     X = np.asarray(X, dtype=float)
@@ -194,6 +195,14 @@ def fit(
             "need more than J + q samples per run, got "
             f"n={X.shape[0]}, J={config.J}, q={config.q}"
         )
+    try:
+        penalty = bic_value(config.k_max, 0.0, X.shape[0], config.q, config.J,
+                            config.nu)
+    except OverflowError:
+        penalty = math.inf
+    if not math.isfinite(penalty):
+        raise ConfigError(f"nu={config.nu} makes the BIC penalty of "
+                          f"k_max={config.k_max} terms overflow float64")
     Xs = scaling.transform(X)
     kv = make_uniform_knots(config.J, config.degree)
     data = RunData(X=Xs, y=y, kv=kv)

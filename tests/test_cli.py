@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import eppr
+from eppr import data_io
 from eppr.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
@@ -393,12 +394,27 @@ _SYNTH_FLAGS = {"synth_negative_seed": ["--seed", "-1"],
                 "synth_out_of_memory": ["--n", "100000000000"]}
 
 
-@pytest.mark.parametrize("command", ["train", "synth", *_SYNTH_FLAGS])
+# Fit flags whose BIC penalty overflows float64: J^(1 + nu) itself, and,
+# with J = 6, only the product tau ln(n) (q + J^(1 + nu)) at the last of
+# five fixed steps, which a check of the first step would miss.
+_BIC_OVERFLOW = {
+    "train_nu_overflow": ["train", "--nu", "400"],
+    "train_bic_trace_overflow": ["train", "--J", "6", "--nu", "393.5",
+                                 "--stopping", "fixed_k", "--kmax", "5"],
+    "benchmark_nu_overflow": ["benchmark", "--repeats", "1", "--nu", "400"],
+}
+
+
+@pytest.mark.parametrize(
+    "command", ["train", "synth", *_SYNTH_FLAGS, *_BIC_OVERFLOW]
+)
 def test_non_finite_flag_is_usage_error(tmp_path, capsys, command) -> None:
     out = tmp_path / "out"
-    if command == "train":
-        argv = ["train", "--data", synth_file(tmp_path), "--target", "y",
-                "--out", str(out), "--nu", "nan"]
+    if command == "train" or command in _BIC_OVERFLOW:
+        name, *flags = _BIC_OVERFLOW.get(command, ["train", "--nu", "nan"])
+        argv = [name, "--data", synth_file(tmp_path), "--target", "y", *flags]
+        if name == "train":
+            argv += ["--out", str(out)]
     else:
         argv = ["synth", "--scenario", "ppr3", "--n", "10", "--p", "9",
                 "--out", str(out),
@@ -918,3 +934,83 @@ def test_non_utf8_model_is_one_line_usage_error(tmp_path, capsys) -> None:
     assert code == EXIT_USAGE
     assert _one_error_line(capsys.readouterr().err)
     assert not (tmp_path / "p.csv").exists()
+
+
+def _with_bom(path: str) -> str:
+    """A copy of ``path`` led by a UTF-8 byte order mark, as spreadsheet
+    programs write their "CSV UTF-8" exports."""
+    bom = Path(path).with_name("bom.csv")
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    return str(bom)
+
+
+def test_bom_is_not_part_of_the_first_name(tmp_path, capsys) -> None:
+    model_path = tmp_path / "model.json"
+    code = main(["train", "--data", _with_bom(synth_file(tmp_path)),
+                 "--target", "x1", "--out", str(model_path), "--B", "1",
+                 "--kmax", "1", "--stopping", "fixed_k"])
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert load_model(str(model_path)).column_names == ["x2", "x3", "y", "x1"]
+
+
+@pytest.mark.parametrize("trained_on", ["bom", "plain"])
+def test_bom_and_plain_files_predict_alike(tmp_path, capsys, trained_on):
+    plain = synth_file(tmp_path)
+    files = [_with_bom(plain), plain]
+    if trained_on == "plain":
+        files.reverse()
+    model_path = str(tmp_path / "model.json")
+    assert main(["train", "--data", files[0], "--target", "y",
+                 "--out", model_path, "--B", "1", "--kmax", "1",
+                 "--stopping", "fixed_k"]) == EXIT_OK
+    outs = [tmp_path / "same.csv", tmp_path / "other.csv"]
+    for path, out in zip(files, outs):
+        code = main(["predict", "--model", model_path, "--data", path,
+                     "--out", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_unnamed_never_numeric_column_is_named_by_position(
+    tmp_path, capsys
+) -> None:
+    """Lines that end in a comma give an unnamed, empty last column."""
+    lines = Path(synth_file(tmp_path)).read_text().splitlines()
+    trailing = tmp_path / "trailing.csv"
+    trailing.write_text("".join(f"{line},\n" for line in lines))
+    capsys.readouterr()
+    code = main(["train", "--data", str(trailing), "--target", "y",
+                 "--out", str(tmp_path / "model.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err == "error: column(s) never numeric: column 5 (unnamed)\n"
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_target_index_reads_the_file_once(
+    tmp_path, capsys, monkeypatch, command
+) -> None:
+    """``--target 3`` names no column of x1,x2,x3,y, so it is position 3:
+    the same run as ``--target y``, from one open of the data file."""
+    data = synth_file(tmp_path)
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(data_io, "open", counting_open, raising=False)
+    fit = ["--B", "1", "--kmax", "1", "--stopping", "fixed_k"]
+    outputs = []
+    for target in ["y", "3"]:
+        argv = [command, "--data", data, "--target", target, *fit]
+        out = tmp_path / f"{target}.out"
+        if command == "train":
+            argv += ["--out", str(out)]
+        opened.clear()
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert opened == [data]
+        outputs.append(out.read_bytes() if command == "train"
+                       else capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

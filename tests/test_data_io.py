@@ -1,5 +1,7 @@
 """CSV loading, column scaling, and the train/test partition."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -64,10 +66,15 @@ class TestLoadCsv:
     def test_target_by_index_matches_by_name(self, tmp_path) -> None:
         path = write_csv(tmp_path / "d.csv", CLEAN)
         by_name = load_csv(path, "y")
-        by_index = load_csv(path, 2)
-        np.testing.assert_array_equal(by_name.X, by_index.X)
-        np.testing.assert_array_equal(by_name.y, by_index.y)
-        assert by_name.column_names == by_index.column_names
+        # "2" names no column, so it is read as a position too.
+        for index in [2, "2"]:
+            by_index = load_csv(path, index)
+            np.testing.assert_array_equal(by_name.X, by_index.X)
+            np.testing.assert_array_equal(by_name.y, by_index.y)
+            assert by_name.column_names == by_index.column_names
+        # A header name comes first: column "2" is position 1 here.
+        named = load_csv(write_csv(tmp_path / "e.csv", "a,2,y\n1,2,3\n"), "2")
+        np.testing.assert_array_equal(named.y, [2])
 
     def test_missing_file(self, tmp_path) -> None:
         with pytest.raises(DataError) as excinfo:
@@ -82,6 +89,17 @@ class TestLoadCsv:
         with pytest.raises(DataError) as excinfo:
             load_csv(path, 9)
         assert excinfo.value.code == "missing_target"
+        # Only decimal digits after at most one minus read as a position.
+        for target, text in [("3", "target index 3 outside 0..2"),
+                             ("-1", "target index -1 outside 0..2"),
+                             ("+1", "target column '+1' not in header"),
+                             ("--1", "target column '--1' not in header"),
+                             ("\u00b2", "target column '\u00b2' not in header")]:
+            with pytest.raises(DataError) as excinfo:
+                load_csv(path, target)
+            assert (excinfo.value.code, str(excinfo.value)) == (
+                "missing_target", text
+            )
 
     def test_empty_file(self, tmp_path) -> None:
         with pytest.raises(DataError) as excinfo:
@@ -101,6 +119,14 @@ class TestLoadCsv:
             load_csv(path, "y")
         assert excinfo.value.code == "non_numeric_column"
         assert "a" in str(excinfo.value)
+        # Lines ending in a comma add an unnamed column, named by position.
+        path = write_csv(tmp_path / "e.csv", "a,b,y,\n1,2,3,\n4,5,6,\n")
+        with pytest.raises(DataError) as excinfo:
+            load_csv(path, "y")
+        assert excinfo.value.code == "non_numeric_column"
+        assert str(excinfo.value) == (
+            "column(s) never numeric: column 4 (unnamed)"
+        )
 
 
 class TestScaling:
@@ -315,7 +341,12 @@ READER_CORPUS = {
     "all_nan_column": "a,b,y\n1,nan,3\n4,nan,6\n",
     "header_only": "a,b,y\n",
     "header_spans_lines": '"a\nx",b,y\n1,2,3\n',
+    "early_bad_row": "a,b,y\n1,,3\n4,5,6\n7,8,9\n10,11,12\n13,14,15\n",
     "late_bad_row": "a,b,y\n1,2,3\n4,5,6\n7,8,9\n10,NA,12\n13,14,15\n",
+    # A quote inside a cell, then a quoted cell: the quote count is even,
+    # yet the quoted cell runs on over the next line.
+    "inner_quote_then_quoted_cell":
+        'a,b,y\n1,2,3\n4,x"y,"5\n6,7",8\n9,10,11\n12,13,14\n',
     "late_quoted_newline": 'a,b,y\n1,2,3\n4,5,6\n7,8,"9\n"\n10,11,12\n',
 }
 
@@ -356,8 +387,10 @@ def _outcome(read, caplog):
 
 
 def _per_row(monkeypatch, path, choose):
+    """The per-row rules over the whole body, read as one piece."""
     with monkeypatch.context() as patched:
         patched.setattr(data_io, "_parse_piece", lambda text, width: None)
+        patched.setattr(data_io, "_PIECE_CHARS", os.path.getsize(path) + 1)
         return data_io._load_columns(path, choose)[1:]
 
 
@@ -418,25 +451,36 @@ def test_clean_file_skips_per_row_rules(tmp_path, monkeypatch) -> None:
     assert opened == [path, path]
 
 
-def test_bad_row_reparses_only_from_its_piece(tmp_path, monkeypatch) -> None:
-    text = "a,b,y\n" + "".join(f"{i},{i},{i}\n" for i in range(40))
-    path = write_csv(tmp_path / "d.csv", text + "1,NA,3\n5,6,7\n")
+# Where the bad row sits among 41 rows "i,i,i", read in pieces of 16
+# characters, about two rows a piece.
+BAD_ROW_AT = {"first": 0, "middle": 20, "last": 40}
+
+
+@pytest.mark.parametrize("bad_at", sorted(BAD_ROW_AT))
+def test_bad_row_reparses_only_from_its_piece(
+    tmp_path, monkeypatch, bad_at
+) -> None:
+    rows = [f"{i},{i},{i}\n" for i in range(40)] + ["5,6,7\n"]
+    rows.insert(BAD_ROW_AT[bad_at], "1,NA,3\n")
+    path = write_csv(tmp_path / "d.csv", "a,b,y\n" + "".join(rows))
     ref_matrix, ref_dropped = _per_row(
         monkeypatch, path, lambda header: [0, 1, 2]
     )
     seen = []
     chosen_cells = data_io._chosen_cells
 
-    def counting(header, body, cols):
-        seen.append(len(body))
+    def recording(header, body, cols):
+        seen.append(body)
         return chosen_cells(header, body, cols)
 
     monkeypatch.setattr(data_io, "_PIECE_CHARS", 16)
-    monkeypatch.setattr(data_io, "_chosen_cells", counting)
+    monkeypatch.setattr(data_io, "_chosen_cells", recording)
     opened = _count_opens(monkeypatch)
     data = load_csv(path, "y")
     assert opened == [path]
-    assert sum(seen) <= 4  # the bad row's piece and the row after it
+    # Only the bad row's own piece goes through the per-row rules.
+    assert len(seen) == 1 and ["1", "NA", "3"] in seen[0]
+    assert len(seen[0]) <= 3
     assert np.array_equal(np.column_stack([data.X, data.y]), ref_matrix)
     assert data.dropped_rows == ref_dropped == 1
 
