@@ -311,8 +311,7 @@ def run_benchmark(
     Each repeat draws its own partition and fit seed from (seed, repeat
     index); the fit uses data-driven defaults unless ``overrides`` pins
     specific fields.  Metric failures are recorded per repeat rather than
-    aborting the run.  ``workers`` is passed to ``ensemble.fit``, which
-    accepts it without effect and fits the members in-process.
+    aborting the run.  ``workers`` is passed on to ``ensemble.fit``.
     """
     if task not in ("regression", "classification"):
         raise ConfigError("task must be regression or classification")

@@ -83,6 +83,10 @@ def _non_blank(rows) -> list[list[str]]:
     return [row for row in rows if any(cell.strip() for cell in row)]
 
 
+def _csv_rows(text: str) -> list[list[str]]:
+    return _non_blank(csv.reader(io.StringIO(text, newline="")))
+
+
 def _float_or_nan(cell: str) -> float:
     try:
         return float(cell)
@@ -197,9 +201,11 @@ def _load_columns(
     header's or one of its chosen cells is not a finite number.  numpy
     parses the body piece by piece; a piece it rejects goes through the
     per-row rules alone, and the next piece goes back to numpy.  A
-    rejected piece holding a quote runs to the end of the file, since a
-    quote inside a cell can leave its last line inside a quoted cell.
-    Every failure to read the file is a ``DataError``.
+    rejected piece runs on to the end of the file when one of its cells
+    holds a quote: a piece holds an even number of quotes, so unless a
+    cell kept one, each quote opened or closed a quoted cell and the
+    piece ends outside one.  Every failure to read the file is a
+    ``DataError``.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
@@ -216,10 +222,9 @@ def _load_columns(
             for text in _pieces(handle):
                 block = _parse_piece(text, len(header))
                 if block is None:
-                    if '"' in text:
-                        text += handle.read()
-                    lines = io.StringIO(text, newline="")
-                    rows = _non_blank(csv.reader(lines))
+                    rows = _csv_rows(text)
+                    if any('"' in cell for row in rows for cell in row):
+                        rows = _csv_rows(text + handle.read())
                     parts.append(_chosen_cells(header, rows, cols))
                     n_rows += len(rows)
                 else:

@@ -162,7 +162,7 @@ def fit(
 
     ``column_names`` names the predictors, then the target, as
     ``Dataset.column_names`` does.  Members are fitted in index order on
-    the calling thread; ``workers`` is accepted and has no effect.
+    the calling thread, whatever ``workers`` is.
     Non-finite data, a predictor whose max - min overflows float64 and a
     response whose mean or sum of squares overflows raise ``NumericError``
     before any member is fitted; n <= J + q rows and a ``nu`` whose BIC

@@ -1,4 +1,8 @@
-"""Dense damped least squares and the damped Gauss-Newton direction solve."""
+"""Dense damped least squares and the damped Gauss-Newton direction solve.
+
+Both solve small damped normal equations with numpy's LAPACK solver, an
+LU factorization with partial pivoting.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-
-# LAPACK's Cholesky factor and solve, bound from scipy by ``_bind_lapack``
-# on the first solve, so that a process that never solves (``eppr
-# predict``) never imports scipy.
-dpotrf = dpotrs = None
 
 # Damping scale relative to the mean diagonal of the Gram matrix.
 DEFAULT_DAMPING_SCALE = 1e-8
@@ -42,14 +41,14 @@ def solve_ridge_ls(
 ) -> LsSolution:
     """Minimize ||target - design b||^2 + damping ||b||^2.
 
-    Solves the damped normal equations through a Cholesky factorization.
+    Solves the damped normal equations with ``np.linalg.solve``.
     ``damping=None`` selects ``1e-8`` times the mean diagonal of the Gram
     matrix.  With ``damping == 0`` an eigenvalue check first decides
     whether the Gram matrix is numerically singular; a singular undamped
-    system, or any failed factorization, falls back to the minimum-norm
-    ``lstsq`` solution.  A damped system skips the eigenvalue check.
-    ``design`` is (n, m) with m >= 1, ``target`` is (n,) and ``damping``
-    is >= 0; only finiteness is checked here.
+    system, a failed solve or a non-finite solution falls back to the
+    minimum-norm ``lstsq`` solution.  A damped system skips the eigenvalue
+    check.  ``design`` is (n, m) with m >= 1, ``target`` is (n,) and
+    ``damping`` is >= 0; only finiteness is checked here.
     """
     if not (np.isfinite(design).all() and np.isfinite(target).all()):
         raise NumericError("non-finite entries in least-squares inputs")
@@ -61,15 +60,17 @@ def solve_ridge_ls(
 
     beta = None
     if damping > 0.0 or not _numerically_singular(gram):
-        # design and target are checked finite above; a non-finite
-        # solution is caught below.
-        beta = _cholesky_solve(_damped(gram, damping), rhs)
+        # A view of the diagonal: the product gram is C-contiguous.
+        gram.reshape(-1)[:: gram.shape[0] + 1] += damping
+        beta = _solve(gram, rhs)
     if beta is None:
-        # Undamped singular system or failed factorization: take the
-        # minimum-norm solution.
+        # Undamped singular system, failed solve or non-finite solution:
+        # take the minimum-norm solution.
         beta = np.linalg.lstsq(design, target, rcond=None)[0]
-    if not np.isfinite(beta).all():
-        raise NumericError("least-squares solve produced non-finite values")
+        if not np.isfinite(beta).all():
+            raise NumericError(
+                "least-squares solve produced non-finite values"
+            )
     residual = target - design @ beta
     return LsSolution(
         coefficients=beta, sse=float(residual @ residual), residual=residual
@@ -77,43 +78,18 @@ def solve_ridge_ls(
 
 
 def _mean_diagonal(gram: np.ndarray) -> float:
-    """``np.mean(np.diag(gram))`` without numpy's wrappers: the same sum."""
+    """Mean diagonal entry of ``gram``, equal to ``np.mean(np.diag(gram))``."""
     return float(np.add.reduce(gram.diagonal()) / gram.shape[0])
 
 
-def _damped(gram: np.ndarray, damping: float) -> np.ndarray:
-    """``gram + damping * np.eye(m)`` entry for entry, without the identity.
-
-    Off the diagonal that sum added ``damping * 0.0``, which is 0.0 for a
-    finite damping (so a -0.0 entry became 0.0) and NaN for an infinite
-    one; the diagonal added ``damping * 1.0 == damping``.
-    """
-    system = gram + damping * 0.0
-    system.reshape(-1)[:: gram.shape[0] + 1] = gram.diagonal() + damping
-    return system
-
-
-def _cholesky_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve ``system x = rhs`` for a symmetric positive definite system.
-
-    Calls LAPACK's dpotrf/dpotrs on the lower triangle: the routines that
-    scipy.linalg's Cholesky factor-and-solve helpers call, without their
-    per-call argument checks, so the results are bit-identical to theirs.
-    Returns ``None`` where those helpers raise ``LinAlgError``, that is
-    when the system is not numerically positive definite.
-    """
-    if dpotrf is None:
-        _bind_lapack()
-    factor, info = dpotrf(system, lower=1, clean=0)
-    if info != 0:
+def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solution of ``system x = rhs``, or ``None`` when LAPACK finds the
+    system singular or the solution is not finite."""
+    try:
+        solution = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
         return None
-    solution, info = dpotrs(factor, rhs, lower=1)
-    return solution if info == 0 else None
-
-
-def _bind_lapack() -> None:
-    global dpotrf, dpotrs
-    from scipy.linalg.lapack import dpotrf, dpotrs
+    return solution if np.isfinite(solution).all() else None
 
 
 def _numerically_singular(gram: np.ndarray) -> bool:
@@ -129,17 +105,22 @@ def gauss_newton_delta(
     """Solve the damped Gauss-Newton system for the update direction.
 
     ``jacobian`` rows are d(fitted)/d(theta), so the normal equations read
-    (J'J + damping I) delta = J' residuals.  Damping escalates tenfold on
-    factorization failure; ``None`` signals failure after all escalations.
+    (J'J + damping I) delta = J' residuals.  The damping escalates tenfold
+    when the solve fails or its solution is not finite; ``None`` signals
+    failure after all escalations, or a non-finite J'J or J' residuals.
     """
     gram = jacobian.T @ jacobian
     rhs = jacobian.T @ residuals
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         return None
     damping = DEFAULT_DAMPING_SCALE * max(_mean_diagonal(gram), 1e-12)
+    diagonal = gram.reshape(-1)[:: gram.shape[0] + 1]
+    diagonal += damping
     for _ in range(_MAX_ESCALATIONS + 1):
-        delta = _cholesky_solve(_damped(gram, damping), rhs)
-        if delta is not None and np.isfinite(delta).all():
+        delta = _solve(gram, rhs)
+        if delta is not None:
             return delta
+        # Raise the damping already added to ten times itself.
+        diagonal += 9.0 * damping
         damping *= 10.0
     return None

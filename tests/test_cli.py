@@ -1014,3 +1014,47 @@ def test_target_index_reads_the_file_once(
         outputs.append(out.read_bytes() if command == "train"
                        else capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+# synth, train, benchmark and predict on one small ppr3 table, with file
+# names relative to the working directory, so both runs print the same text.
+_COMMANDS = [
+    ["synth", "--scenario", "ppr3", "--n", "300", "--p", "9", "--noise",
+     "0.5", "--seed", "1", "--out", "t.csv"],
+    ["train", "--data", "t.csv", "--target", "y", "--seed", "0", "--B", "2",
+     "--out", "m.json"],
+    ["benchmark", "--data", "t.csv", "--target", "y", "--seed", "0",
+     "--repeats", "1", "--B", "2"],
+    ["predict", "--model", "m.json", "--data", "t.csv", "--out", "p.csv"],
+]
+
+
+def test_no_command_imports_scipy(tmp_path, capsys, monkeypatch) -> None:
+    """Each command runs in a child process that cannot import scipy and
+    gives the bytes it gives in this process: its files and its stdout.
+    stderr is not compared, since ``benchmark`` times each repeat there."""
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from eppr.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(eppr.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    here, child = tmp_path / "here", tmp_path / "child"
+    here.mkdir()
+    child.mkdir()
+    monkeypatch.chdir(here)
+    capsys.readouterr()
+    for argv in _COMMANDS:
+        code, out = main(argv), capsys.readouterr().out
+        run = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                             cwd=child, capture_output=True, text=True,
+                             timeout=60)
+        assert code == EXIT_OK
+        assert (run.returncode, run.stdout) == (code, out), run.stderr
+    names = sorted(path.name for path in here.iterdir())
+    assert names == sorted(path.name for path in child.iterdir())
+    assert "p.csv" in names
+    for name in names:
+        assert (here / name).read_bytes() == (child / name).read_bytes()

@@ -452,19 +452,29 @@ def test_clean_file_skips_per_row_rules(tmp_path, monkeypatch) -> None:
 
 
 # Where the bad row sits among 41 rows "i,i,i", read in pieces of 16
-# characters, about two rows a piece.
-BAD_ROW_AT = {"first": 0, "middle": 20, "last": 40}
+# characters, about two rows a piece.  The "r_" cases lay the rows out as
+# R's write.csv does, each led by its quoted row name: every piece then
+# holds quotes, yet no cell keeps one.
+BAD_ROW_AT = {"first": 0, "middle": 20, "last": 40,
+              "r_first": 0, "r_middle": 20}
 
 
 @pytest.mark.parametrize("bad_at", sorted(BAD_ROW_AT))
 def test_bad_row_reparses_only_from_its_piece(
     tmp_path, monkeypatch, bad_at
 ) -> None:
-    rows = [f"{i},{i},{i}\n" for i in range(40)] + ["5,6,7\n"]
-    rows.insert(BAD_ROW_AT[bad_at], "1,NA,3\n")
-    path = write_csv(tmp_path / "d.csv", "a,b,y\n" + "".join(rows))
+    rows = [f"{i},{i},{i}" for i in range(40)] + ["5,6,7"]
+    rows.insert(BAD_ROW_AT[bad_at], "1,NA,3")
+    header = "a,b,y"
+    if bad_at.startswith("r_"):
+        header = '"","a","b","y"'
+        rows = [f'"{name}",{row}' for name, row in enumerate(rows, 1)]
+    path = write_csv(
+        tmp_path / "d.csv", "".join(f"{line}\n" for line in [header, *rows])
+    )
+    width = header.count(",") + 1
     ref_matrix, ref_dropped = _per_row(
-        monkeypatch, path, lambda header: [0, 1, 2]
+        monkeypatch, path, lambda header: list(range(width))
     )
     seen = []
     chosen_cells = data_io._chosen_cells
@@ -479,7 +489,8 @@ def test_bad_row_reparses_only_from_its_piece(
     data = load_csv(path, "y")
     assert opened == [path]
     # Only the bad row's own piece goes through the per-row rules.
-    assert len(seen) == 1 and ["1", "NA", "3"] in seen[0]
+    assert len(seen) == 1
+    assert ["1", "NA", "3"] in [row[-3:] for row in seen[0]]
     assert len(seen[0]) <= 3
     assert np.array_equal(np.column_stack([data.X, data.y]), ref_matrix)
     assert data.dropped_rows == ref_dropped == 1
