@@ -441,9 +441,85 @@ class TestFailedFactorization:
         assert all(np.isinf(s).any() for s in solutions)
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: no tolerance, and -0.0 != 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
 class TestDampedSystemMatchesExpression:
-    """The wrapper-free mean diagonal against the numpy expression it
-    stands for."""
+    """The damped system each solve hands to ``numerics._solve`` against
+    the expression ``gram + damping * np.eye(m)`` it stands for, and the
+    wrapper-free mean diagonal against ``np.mean(np.diag(gram))``."""
+
+    @staticmethod
+    def problem(m: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(m)
+        return rng.standard_normal((40, m)), rng.standard_normal(40)
+
+    @staticmethod
+    def record_systems(monkeypatch) -> list:
+        """A copy of each system and right-hand side ``_solve`` is given."""
+        systems: list = []
+        real = numerics._solve
+
+        def solve(system, rhs):
+            systems.append((system.copy(), rhs.copy()))
+            return real(system, rhs)
+
+        monkeypatch.setattr(numerics, "_solve", solve)
+        return systems
+
+    @pytest.mark.parametrize("m", [1, 7, 30])
+    @pytest.mark.parametrize("damping", [0.0, 1e-8, 3.7e-3, 1e6])
+    def test_damped_system_bit_identical(
+        self, monkeypatch, m: int, damping: float
+    ) -> None:
+        # The damping goes onto the diagonal in place; off it, adding
+        # damping * 0.0 leaves a nonzero finite entry's bits as they are.
+        design, target = self.problem(m)
+        systems = self.record_systems(monkeypatch)
+        sol = solve_ridge_ls(design, target, damping)
+        assert len(systems) == 1
+        system, rhs = systems[0]
+        assert same_bits(system, design.T @ design + damping * np.eye(m))
+        assert same_bits(rhs, design.T @ target)
+        assert same_bits(sol.coefficients, np.linalg.solve(system, rhs))
+
+    @pytest.mark.parametrize("m", [1, 7, 30])
+    def test_infinite_damping_matches(self, monkeypatch, m: int) -> None:
+        # The expression puts inf * 0.0 = NaN off the diagonal; the system
+        # solved keeps the Gram there, and its solution is the limit of
+        # the damped fit, all zeros.
+        design, target = self.problem(m)
+        systems = self.record_systems(monkeypatch)
+        sol = solve_ridge_ls(design, target, np.inf)
+        assert len(systems) == 1
+        system, _ = systems[0]
+        gram = design.T @ design
+        off = ~np.eye(m, dtype=bool)
+        assert np.isposinf(np.diag(system)).all()
+        assert same_bits(system[off], gram[off])
+        with np.errstate(invalid="ignore"):  # inf * 0.0 off the diagonal
+            expected = gram + np.inf * np.eye(m)
+        assert np.array_equal(np.diag(system), np.diag(expected))
+        assert np.isnan(expected[off]).all()
+        assert np.array_equal(sol.coefficients, np.zeros(m))
+        assert sol.sse == float(target @ target)
+
+    @pytest.mark.parametrize("m", [1, 7, 30])
+    def test_damped_system_leaves_gram_alone(self, m: int) -> None:
+        # Both solves damp a Gram they formed themselves: the caller's
+        # arrays keep their bits, and a second call gives the same bits.
+        design, target = self.problem(m)
+        before = design.copy(), target.copy()
+        first = solve_ridge_ls(design, target, 1e-3).coefficients
+        second = solve_ridge_ls(design, target, 1e-3).coefficients
+        assert same_bits(first, second)
+        delta = gauss_newton_delta(target, design)
+        assert same_bits(delta, gauss_newton_delta(target, design))
+        assert same_bits(design, before[0]) and same_bits(target, before[1])
 
     @pytest.mark.parametrize("m", [1, 7, 30])
     def test_mean_diagonal_bit_identical(self, m: int) -> None:
