@@ -4,7 +4,8 @@ Three update rules share the candidate-search skeleton: ``aga`` jointly
 refits every spline coefficient after each new term, ``oga`` rescales new
 terms to unit empirical norm and refits only the scalar multipliers, and
 ``rga`` shrinks the running fit by a relaxation factor before each new
-term.  A BIC criterion decides where to stop.
+term.  A BIC criterion decides where to stop, from the penalty alone when
+no SSE could keep the next step, so that step is never fitted.
 """
 
 from __future__ import annotations
@@ -41,7 +42,12 @@ class RunData:
 
 @dataclass
 class PprModel:
-    """One greedy run: intercept plus weighted ridge terms."""
+    """One greedy run: intercept plus weighted ridge terms.
+
+    ``bic_trace`` and ``sse_trace`` (and aga's ``objective_trace``) hold one
+    entry per step fitted: ``k`` of them, or ``k + 1`` when ``bic`` fitted
+    the step it then discarded.
+    """
 
     intercept: float
     ridges: list[Ridge]
@@ -260,9 +266,13 @@ def run_greedy(data: RunData, config, rng: np.random.Generator) -> PprModel:
     """One full greedy run on pre-scaled training data.
 
     ``stopping="fixed_k"`` takes exactly ``k_max`` steps.  ``stopping="bic"``
-    stops at the first tau >= 1 with BIC(tau) < BIC(tau + 1), discarding the
-    (tau + 1)-th term; if no such tau appears by ``k_max`` the run keeps all
-    ``k_max`` terms.  At least one term is always kept.
+    stops at the first tau >= 1 with BIC(tau) < BIC(tau + 1) and keeps tau
+    terms; if no such tau appears by ``k_max`` the run keeps all ``k_max``
+    terms.  At least one term is always kept.  Step tau + 1 is fitted and
+    discarded only when BIC(tau) is not below ``bic_value(tau + 1, 0.0, ...)``,
+    the penalty of tau + 1 terms: BIC never falls as the SSE grows, so below
+    that the stop is already decided and the step is skipped.  The kept
+    model is the same either way; the traces list the steps fitted.
     """
     n = data.X.shape[0]
     step = _STEP_FUNCTIONS[config.variant]
@@ -271,17 +281,19 @@ def run_greedy(data: RunData, config, rng: np.random.Generator) -> PprModel:
     state = RunState(rng=rng, yc=data.y - intercept)
     state.fitted = np.zeros(n)
 
+    bic = config.stopping == "bic"
     chosen: tuple[list[Ridge], list[float]] | None = None
     for tau in range(1, config.k_max + 1):
+        # No SSE >= 0 could keep step tau: stop without fitting it.
+        if bic and tau >= 2 and state.bic_trace[-1][1] < bic_value(
+            tau, 0.0, n, config.q, data.kv.basis_count, config.nu
+        ):
+            break
         before = state.snapshot()
         step(state, data, config)
         # BIC(tau - 1) < BIC(tau): keep the model as of step tau - 1 and
         # discard the term just added.
-        if (
-            config.stopping == "bic"
-            and tau >= 2
-            and state.bic_trace[tau - 2][1] < state.bic_trace[tau - 1][1]
-        ):
+        if bic and tau >= 2 and state.bic_trace[-2][1] < state.bic_trace[-1][1]:
             chosen = before
             break
     if chosen is None:

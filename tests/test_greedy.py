@@ -2,13 +2,14 @@
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eppr import ensemble, greedy, spline
 from eppr.ensemble import FitConfig
-from eppr.errors import NumericError
+from eppr.errors import ConfigError, NumericError
 from eppr.greedy import (
     RunData,
     bic_value,
@@ -72,6 +73,50 @@ class TestBicValue:
     def test_penalty_strictly_increasing_in_tau(self) -> None:
         values = [bic_value(t, 10.0, 200, 3, 7, 0.2) for t in range(5)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    @staticmethod
+    def largest_accepted_nu(n: int, q: int, J: int, k_max: int) -> float:
+        """The largest nu whose penalty at k_max terms is finite, as
+        ``ensemble.fit`` requires."""
+
+        def accepted(nu: float) -> bool:
+            try:
+                return math.isfinite(bic_value(k_max, 0.0, n, q, J, nu))
+            except OverflowError:
+                return False
+
+        lo, hi = 0.2, 1000.0
+        assert accepted(lo) and not accepted(hi)
+        while True:
+            mid = (lo + hi) / 2.0
+            if mid in (lo, hi):
+                return lo
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+
+    def test_largest_accepted_nu_matches_fit(self) -> None:
+        nu = self.largest_accepted_nu(1000, 2, 7, 20)
+        assert nu > 300.0
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1.0, 1.0, (1000, 3))
+        y = X[:, 0] + 0.1 * rng.standard_normal(1000)
+        cfg = make_config(q=2, ell=1, k_max=20, stopping="bic", nu=nu)
+        # Its penalty dwarfs any SSE, so the bound stops before step 2.
+        (member,) = ensemble.fit(X, y, cfg).members
+        assert member.k == 1 and len(member.bic_trace) == 1
+        with pytest.raises(ConfigError, match="overflow"):
+            ensemble.fit(X, y, replace(cfg, nu=math.nextafter(nu, math.inf)))
+
+    def test_sse_never_lowers_the_penalty_alone(self) -> None:
+        # bic_value(tau, 0.0, ...) bounds BIC(tau) from below in floats,
+        # which is what lets run_greedy skip a step no SSE could keep.
+        sses = [0.0, 5e-324, 1e-300, 1.0, 1e300, sys.float_info.max]
+        for n in (4, 1000, 10**6):
+            for nu in (0.0, 0.2, self.largest_accepted_nu(n, 2, 7, 20)):
+                for tau in (1, 2, 20):
+                    floor = bic_value(tau, 0.0, n, 2, 7, nu)
+                    assert math.isfinite(floor)
+                    for sse in sses:
+                        assert bic_value(tau, sse, n, 2, 7, nu) >= floor
 
 
 class TestRelaxationWeight:
@@ -263,7 +308,7 @@ class TestRunGreedy:
             cfg = make_config(q=6, ell=1, k_max=5, stopping="bic")
             model = run_greedy(data, cfg, np.random.default_rng(seed))
             hits += model.k == 1
-            assert len(model.bic_trace) >= model.k
+            assert len(model.bic_trace) in (model.k, model.k + 1)
         assert hits >= 4
 
     def test_bic_keeps_signal_term(self) -> None:
@@ -307,6 +352,92 @@ class TestRunGreedy:
             np.testing.assert_allclose(
                 model.predict(Xq), total, atol=1e-10
             )
+
+
+def assert_same_model(a, b) -> None:
+    """Bit-for-bit equality of two greedy runs' kept terms."""
+    assert a.k == b.k
+    assert np.float64(a.intercept).tobytes() == np.float64(b.intercept).tobytes()
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert len(a.ridges) == len(b.ridges)
+    for r, s in zip(a.ridges, b.ridges):
+        assert r.subset.tobytes() == s.subset.tobytes()
+        assert r.theta.tobytes() == s.theta.tobytes()
+        assert (r.scaler.lo, r.scaler.hi) == (s.scaler.lo, s.scaler.hi)
+        assert r.coeffs.tobytes() == s.coeffs.tobytes()
+
+
+class TestPenaltyBoundStop:
+    """``bic`` skips a step whose penalty alone is above BIC(tau - 1).
+
+    A ``fixed_k`` run with the same stream takes the same steps up to its
+    ``k_max``, so it is the oracle for both the kept model and the stop.
+    """
+
+    @staticmethod
+    def datasets():
+        # Low noise leaves a residual SSE under one term's penalty, so the
+        # bound decides; noise 0.8 on n = 200 keeps the SSE above it.
+        for seed, noise in ((30, 0.05), (31, 0.1), (32, 0.02), (33, 0.8)):
+            yield make_data(
+                200, 4,
+                lambda X, r: np.sin(2.0 * X[:, 0]) + 0.5 * X[:, 2] ** 2
+                + noise * r.standard_normal(200),
+                seed=seed,
+            )
+
+    @pytest.mark.parametrize("variant", ["aga", "oga", "rga"])
+    def test_bic_model_is_the_fixed_k_model(self, variant: str) -> None:
+        fired = stepped = 0
+        for i, data in enumerate(self.datasets()):
+            cfg = make_config(variant=variant, q=2, ell=2, k_max=5,
+                              stopping="bic")
+            model = run_greedy(data, cfg, np.random.default_rng(40 + i))
+            k = model.k
+            oracle = run_greedy(data, replace(cfg, stopping="fixed_k", k_max=k),
+                                np.random.default_rng(40 + i))
+            assert_same_model(model, oracle)
+            fitted = len(model.bic_trace)
+            assert fitted in (k, k + 1) and fitted <= cfg.k_max
+            if k == cfg.k_max:
+                assert model.bic_trace == oracle.bic_trace
+                continue
+            longer = run_greedy(
+                data, replace(cfg, stopping="fixed_k", k_max=k + 1),
+                np.random.default_rng(40 + i),
+            )
+            # The post-step rule alone, on the longer trace, stops at k too.
+            bics = [b for _, b in longer.bic_trace]
+            stops = [t for t in range(1, k + 1) if bics[t - 1] < bics[t]]
+            assert stops == [k]
+            assert model.bic_trace == longer.bic_trace[:fitted]
+            assert model.sse_trace == longer.sse_trace[:fitted]
+            if variant == "aga":
+                assert model.objective_trace == longer.objective_trace[:fitted]
+            if fitted == k:
+                fired += 1
+                n = data.X.shape[0]
+                assert bics[k - 1] < bic_value(k + 1, 0.0, n, cfg.q, cfg.J,
+                                               cfg.nu)
+                assert model.bic_trace == oracle.bic_trace
+                assert model.sse_trace == oracle.sse_trace
+            else:
+                stepped += 1
+        if variant in ("aga", "oga"):
+            assert fired >= 1
+        assert stepped >= 1
+
+    @pytest.mark.parametrize("variant", ["aga", "oga", "rga"])
+    def test_fixed_k_fits_every_step(self, variant: str) -> None:
+        data = make_data(200, 2, lambda X, r: np.sin(2.0 * X[:, 0]), seed=34)
+        cfg = make_config(variant=variant, q=2, ell=1, k_max=4)
+        model = run_greedy(data, cfg, np.random.default_rng(0))
+        assert len(model.bic_trace) == model.k == cfg.k_max
+        assert len(model.sse_trace) == cfg.k_max
+        # The bound would have stopped a bic run before step 2.
+        assert model.bic_trace[0][1] < bic_value(
+            2, 0.0, data.X.shape[0], cfg.q, cfg.J, cfg.nu
+        )
 
 
 class TestCandidateFallbacks:
