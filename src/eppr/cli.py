@@ -157,14 +157,37 @@ def generate_scenario(
     return X, labels.astype(float), doc
 
 
-def write_scenario_csv(path: str, X: np.ndarray, y: np.ndarray) -> None:
-    names = [f"x{j + 1}" for j in range(X.shape[1])] + ["y"]
+# Rows formatted per write: enough to amortize the per-block numpy and
+# format calls, few enough that a ten-column block's text is about 200 kB.
+_CSV_BLOCK_ROWS = 1024
+
+
+def _write_csv(path: str, names: list[str], *columns: np.ndarray) -> None:
+    """Write 1-D or 2-D ``columns`` side by side under ``names``.
+
+    Rows are formatted a block at a time, never the whole table at once.
+    Cells are cast to float64 first, so an int or bool cell writes ``1.0``.
+    """
+    line = ",".join(["%r"] * len(names)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(names) + "\n")
-        for i in range(X.shape[0]):
-            cells = [repr(float(v)) for v in X[i]]
-            cells.append(repr(float(y[i])))
-            handle.write(",".join(cells) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack(
+                [c[start:start + _CSV_BLOCK_ROWS] for c in columns]
+            ).astype(np.float64, copy=False)
+            handle.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_scenario_csv(path: str, X: np.ndarray, y: np.ndarray) -> None:
+    """Write predictors ``X`` (n × p) and response ``y`` (n) as a CSV table.
+
+    The header is ``x1,...,xp,y``.  Each cell is ``repr(float(v))``, the
+    shortest text that reads back as the same float64, so ``load_csv``
+    reads a finite table back bit for bit.  Lines end in LF; the file is
+    UTF-8.
+    """
+    names = [f"x{j + 1}" for j in range(X.shape[1])] + ["y"]
+    _write_csv(path, names, X, y)
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +468,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    _check_writable(args.out)
     model = ensemble.load_model(args.model)
     feature_names = (
         model.column_names[:-1] if model.column_names else None
     )
     X = load_feature_matrix(args.data, feature_names)
     predictions = model.predict(X)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("prediction\n")
-        handle.write("\n".join(map(repr, predictions.tolist())) + "\n")
+    _write_csv(args.out, ["prediction"], predictions)
     print(f"{predictions.shape[0]} prediction(s) written to {args.out}")
     return EXIT_OK
 
@@ -480,6 +502,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    _check_writable(args.out)
     rng = np.random.default_rng(args.seed)
     X, y, doc = generate_scenario(args.scenario, args.n, args.p, args.noise,
                                   rng)

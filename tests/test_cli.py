@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import eppr
-from eppr import data_io
+from eppr import cli, data_io
 from eppr.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
@@ -23,6 +24,7 @@ from eppr.cli import (
     metric_mr,
     metric_rpe,
     run_benchmark,
+    write_scenario_csv,
 )
 from eppr.data_io import Dataset, load_csv
 from eppr.ensemble import load_model
@@ -163,6 +165,82 @@ class TestSynthCommand:
             main(["synth", "--scenario", "mystery", "--n", "10",
                   "--p", "2", "--out", str(tmp_path / "x.csv")])
         assert excinfo.value.code == EXIT_USAGE
+
+
+def reference_scenario_csv(path, X, y) -> None:
+    """The per-row writer that the block writer replaced, kept as the oracle."""
+    names = [f"x{j + 1}" for j in range(X.shape[1])] + ["y"]
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(names) + "\n")
+        for i in range(X.shape[0]):
+            cells = [repr(float(v)) for v in X[i]]
+            cells.append(repr(float(y[i])))
+            handle.write(",".join(cells) + "\n")
+
+
+BLOCK = cli._CSV_BLOCK_ROWS
+EDGE_ROWS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+SPECIAL_FLOATS = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+                  1e16, 1e-05]
+
+
+def _cells(kind: str, shape, rng) -> np.ndarray:
+    if kind == "int":
+        return rng.integers(-10**6, 10**6, size=shape)
+    if kind == "bool":
+        return rng.random(shape) < 0.5
+    if kind == "float32":
+        return rng.standard_normal(shape).astype(np.float32)
+    cells = rng.standard_normal(shape)
+    flat = cells.reshape(-1)
+    flat[::3] = np.resize(SPECIAL_FLOATS, flat[::3].size)
+    return cells
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("rows", EDGE_ROWS)
+    @pytest.mark.parametrize("p", [1, 40])
+    @pytest.mark.parametrize("kind", ["int", "bool", "float32", "special"])
+    def test_matches_per_row_writer(self, tmp_path, kind, p, rows) -> None:
+        rng = np.random.default_rng([rows, p])
+        X, y = _cells(kind, (rows, p), rng), _cells(kind, rows, rng)
+        got, want = tmp_path / "block.csv", tmp_path / "row.csv"
+        write_scenario_csv(str(got), X, y)
+        reference_scenario_csv(str(want), X, y)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_memory_stays_per_block(self, tmp_path) -> None:
+        X = np.random.default_rng(0).standard_normal((50_000, 9))
+        y = X.sum(axis=1)
+        out = tmp_path / "big.csv"
+        # A formatter of the whole table would hold all of its 9 MB of text.
+        bound = 2 * 2**20
+        tracemalloc.start()
+        try:
+            write_scenario_csv(str(out), X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 4 * bound
+        assert peak < bound
+
+    @pytest.mark.parametrize("rows", EDGE_ROWS)
+    def test_prediction_file_is_one_repr_per_line(
+        self, tmp_path, capsys, rows
+    ) -> None:
+        model_path = str(tmp_path / "model.json")
+        assert main(["train", "--data", synth_file(tmp_path), "--target",
+                     "y", "--out", model_path, "--B", "2", "--kmax", "2",
+                     "--stopping", "fixed_k"]) == EXIT_OK
+        X = np.random.default_rng(rows).uniform(-1.5, 1.5, (rows, 3))
+        data, out = tmp_path / "rows.csv", tmp_path / "pred.csv"
+        write_scenario_csv(str(data), X, np.zeros(rows))
+        assert main(["predict", "--model", model_path, "--data", str(data),
+                     "--out", str(out)]) == EXIT_OK
+        preds = load_model(model_path).predict(X)
+        assert out.read_text(encoding="utf-8") == (
+            "prediction\n" + "\n".join(map(repr, preds.tolist())) + "\n"
+        )
 
 
 def synth_file(tmp_path, scenario="single_index", n=60, p=3, noise=0.1,
@@ -455,11 +533,8 @@ def test_out_in_missing_directory_is_file_error(
     data = synth_file(tmp_path)
     out = _unwritable_out(tmp_path, kind)
     if command == "train":
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fitted before checking --out")
-
-        monkeypatch.setattr("eppr.ensemble.fit", no_fit)
         argv = ["train", "--data", data, "--target", "y", "--out", out]
+        first_work = "eppr.ensemble.fit"
     elif command == "predict":
         model_path = str(tmp_path / "model.json")
         assert main(["train", "--data", data, "--target", "y",
@@ -467,9 +542,16 @@ def test_out_in_missing_directory_is_file_error(
                      "--stopping", "fixed_k"]) == EXIT_OK
         argv = ["predict", "--model", model_path, "--data", data,
                 "--out", out]
+        first_work = "eppr.cli.load_feature_matrix"
     else:
         argv = ["synth", "--scenario", "ppr3", "--n", "10", "--p", "9",
                 "--out", out]
+        first_work = "eppr.cli.generate_scenario"
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{first_work} ran before --out was checked")
+
+    monkeypatch.setattr(first_work, no_work)
     capsys.readouterr()
     assert main(argv) == EXIT_IO
     err = capsys.readouterr().err
