@@ -474,6 +474,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         model.column_names[:-1] if model.column_names else None
     )
     X = load_feature_matrix(args.data, feature_names)
+    if X.shape[1] != model.p:
+        raise DataError("missing_target",
+                        "prediction file lacks the model's feature columns")
     predictions = model.predict(X)
     _write_csv(args.out, ["prediction"], predictions)
     print(f"{predictions.shape[0]} prediction(s) written to {args.out}")
@@ -503,11 +506,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
     _check_writable(args.out)
+    meta_path = args.out + ".meta.txt"
+    _check_writable(meta_path)
     rng = np.random.default_rng(args.seed)
     X, y, doc = generate_scenario(args.scenario, args.n, args.p, args.noise,
                                   rng)
     write_scenario_csv(args.out, X, y)
-    meta_path = args.out + ".meta.txt"
     with open(meta_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"scenario: {args.scenario}\n")
         handle.write(f"n: {args.n}\np: {args.p}\n")

@@ -236,9 +236,9 @@ def _ridge_to_dict(ridge: Ridge) -> dict:
     }
 
 
-def _member_to_dict(member: PprModel) -> dict:
+def _member_to_dict(member: PprModel, variant: str) -> dict:
     return {
-        "variant": member.variant,
+        "variant": variant,
         "intercept": float(member.intercept),
         "k": int(member.k),
         "weights": [float(w) for w in member.weights],
@@ -261,7 +261,8 @@ def to_json_text(model: EnsembleModel) -> str:
             float(model.truncation) if model.truncation is not None else None
         ),
         "column_names": model.column_names,
-        "members": [_member_to_dict(m) for m in model.members],
+        "members": [_member_to_dict(m, model.config.variant)
+                    for m in model.members],
     }
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -271,13 +272,17 @@ def from_json_text(text: str) -> EnsembleModel:
 
     A document that does not describe a model (missing or unknown keys,
     wrong value types, a number that is not finite or overflows, no
-    members, subset indices outside the stored predictor count, weight
-    count or ``k`` that disagrees with the ridge count, a member variant
-    other than the config's, ``column_names`` other than null or one
-    distinct string per predictor and one for the target, a scaling range
-    that is reversed or overflows, predictions that could overflow, a
-    truncation that is not positive, lists or objects nested past the
-    recursion limit) raises ``ConfigError``.
+    members, weight count or ``k`` that disagrees with the ridge count, a
+    member variant other than the config's, ``column_names`` other than
+    null or one distinct string per predictor and one for the target, a
+    scaling range that is reversed or overflows, predictions that could
+    overflow, a truncation that is not positive, lists or objects nested
+    past the recursion limit) raises ``ConfigError``.  So does a ridge the
+    fit could not have built: subset indices outside the stored predictor
+    count or not strictly increasing, a theta that is not as long as its
+    subset or not of unit norm, a scaler whose hi is not above its lo or
+    whose hi - lo overflows, or a coefficient count other than J.  These
+    are the only checks on ``Ridge`` and ``ProjectionScaler`` records.
     """
     try:
         doc = json.loads(text, parse_float=_finite_float,
@@ -320,17 +325,29 @@ def _numbers(values, what: str, integer: bool = False) -> np.ndarray:
 
 
 def _ridge_from_dict(rdoc: dict, kv: KnotVector, p: int) -> Ridge:
+    """A stored ridge, refused unless it is one the fit could have built."""
     subset = _numbers(rdoc["subset"], "ridge subset", integer=True)
     if np.any((subset < 0) | (subset >= p)):
         raise ConfigError(f"ridge subset {subset.tolist()} outside 0..{p - 1}")
-    return Ridge(
-        subset=subset,
-        theta=_numbers(rdoc["theta"], "theta"),
-        scaler=ProjectionScaler(_number(rdoc["scaler_lo"], "scaler_lo"),
-                                _number(rdoc["scaler_hi"], "scaler_hi")),
-        coeffs=_numbers(rdoc["coeffs"], "coeffs"),
-        knots=kv,
-    )
+    theta = _numbers(rdoc["theta"], "theta")
+    lo = _number(rdoc["scaler_lo"], "scaler_lo")
+    hi = _number(rdoc["scaler_hi"], "scaler_hi")
+    if not hi > lo:
+        raise ConfigError("scaler requires hi > lo")
+    if not math.isfinite(hi - lo):
+        raise ConfigError("scaler range hi - lo overflows float64")
+    coeffs = _numbers(rdoc["coeffs"], "coeffs")
+    if theta.shape != subset.shape:
+        raise ConfigError("subset and theta must be matching vectors")
+    if np.any(np.diff(subset) <= 0):
+        raise ConfigError("subset indices must be strictly increasing")
+    with np.errstate(over="ignore"):  # a huge entry fails as inf
+        norm2 = float(theta @ theta)
+    if abs(norm2 - 1.0) > 1e-8:
+        raise ConfigError("theta must have unit norm")
+    if coeffs.shape != (kv.basis_count,):
+        raise ConfigError("coefficient count must match the spline basis")
+    return Ridge(subset, theta, ProjectionScaler(lo, hi), coeffs, kv)
 
 
 def _output_bound(members: list[PprModel]) -> float:
@@ -401,7 +418,6 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
                 intercept=_number(mdoc["intercept"], "intercept"),
                 ridges=ridges,
                 weights=weights,
-                variant=config.variant,
                 k=k,
                 bic_trace=[
                     (_number(t, "bic_trace step", integer=True),

@@ -52,7 +52,6 @@ class PprModel:
     intercept: float
     ridges: list[Ridge]
     weights: np.ndarray
-    variant: str
     k: int
     bic_trace: list[tuple[int, float]]
     sse_trace: list[float]
@@ -305,7 +304,6 @@ def run_greedy(data: RunData, config, rng: np.random.Generator) -> PprModel:
         intercept=intercept,
         ridges=ridges,
         weights=np.asarray(weights, dtype=float),
-        variant=config.variant,
         k=k_star,
         bic_trace=state.bic_trace,
         sse_trace=state.sse_trace,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data_io import _unit_scale
-from .errors import ConfigError
 from .numerics import LsSolution, gauss_newton_delta, solve_ridge_ls
 from .spline import KnotVector, basis_deriv_matrix, basis_matrix
 
@@ -42,17 +41,13 @@ _CHUNK_ROWS = 8192
 class ProjectionScaler:
     """Affine map sending the training range [lo, hi] onto [-1, 1].
 
-    Points outside the training range are clamped to the endpoints.
+    Points outside the training range are clamped to the endpoints.  The
+    record is unchecked: the fit builds it with a finite hi - lo > 0, and a
+    model file's scalers are checked on load (``ensemble.from_json_text``).
     """
 
     lo: float
     hi: float
-
-    def __post_init__(self) -> None:
-        if not (self.hi > self.lo):
-            raise ConfigError("scaler requires hi > lo")
-        if not math.isfinite(self.hi - self.lo):
-            raise ConfigError("scaler range hi - lo overflows float64")
 
     def transform(self, z: np.ndarray | float) -> np.ndarray | float:
         # clip(2 (z - lo) / (hi - lo) - 1, -1, 1), in the array that
@@ -67,31 +62,19 @@ class ProjectionScaler:
 
 @dataclass(frozen=True)
 class Ridge:
-    """One fitted term: spline coefficients over a scaled projection."""
+    """One fitted term: spline coefficients over a scaled projection.
+
+    An unchecked record of arrays: an int ``subset``, strictly increasing,
+    a unit ``theta`` of the same length and one float coefficient per basis
+    function of ``knots``.  The fit builds it that way, and a model file's
+    ridges are checked on load (``ensemble.from_json_text``).
+    """
 
     subset: np.ndarray
     theta: np.ndarray
     scaler: ProjectionScaler
     coeffs: np.ndarray
     knots: KnotVector
-
-    def __post_init__(self) -> None:
-        subset = np.asarray(self.subset, dtype=int)
-        theta = np.asarray(self.theta, dtype=float)
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "coeffs", coeffs)
-        if subset.ndim != 1 or theta.shape != subset.shape:
-            raise ConfigError("subset and theta must be matching vectors")
-        if subset.size and np.any(np.diff(subset) <= 0):
-            raise ConfigError("subset indices must be strictly increasing")
-        with np.errstate(over="ignore"):  # a huge entry fails as inf
-            norm2 = float(theta @ theta)
-        if abs(norm2 - 1.0) > 1e-8:
-            raise ConfigError("theta must have unit norm")
-        if coeffs.shape != (self.knots.basis_count,):
-            raise ConfigError("coefficient count must match the spline basis")
 
 
 def ridge_design_block(ridge: Ridge, X: np.ndarray) -> np.ndarray:

@@ -435,6 +435,48 @@ class TestExitCodes:
                      "--data", data, "--out", str(tmp_path / "p.csv")])
         assert code == EXIT_IO
 
+    def test_synth_sidecar_taken_writes_nothing(
+        self, tmp_path, capsys
+    ) -> None:
+        table = tmp_path / "t.csv"
+        (tmp_path / "t.csv.meta.txt").mkdir()
+        capsys.readouterr()
+        code = main(["synth", "--scenario", "ppr3", "--n", "100", "--p", "9",
+                     "--out", str(table)])
+        assert code == EXIT_IO
+        assert _one_error_line(capsys.readouterr().err)
+        assert not table.exists()
+
+    @pytest.mark.parametrize("width", [8, 11])
+    @pytest.mark.parametrize("named", [True, False])
+    def test_predict_file_of_another_width_is_file_error(
+        self, tmp_path, capsys, named, width
+    ) -> None:
+        """Named or not, the model refuses the file with one error."""
+        data = synth_file(tmp_path, scenario="ppr3", n=120, p=9)
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--data", data, "--target", "y",
+                     "--out", str(model_path), "--B", "1", "--kmax", "1",
+                     "--stopping", "fixed_k"]) == EXIT_OK
+        if not named:
+            doc = json.loads(model_path.read_text())
+            doc["column_names"] = None
+            model_path.write_text(json.dumps(doc))
+        rows = np.random.default_rng(0).uniform(-1.0, 1.0, (30, width))
+        other = tmp_path / "other.csv"
+        other.write_text(
+            ",".join(f"a{j}" for j in range(width)) + "\n"
+            + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+        )
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path),
+                     "--data", str(other), "--out", str(tmp_path / "p.csv")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            "error: prediction file lacks the model's feature columns\n"
+        )
+        assert not (tmp_path / "p.csv").exists()
+
 
 def _one_error_line(err: str) -> bool:
     lines = err.strip().splitlines()
@@ -736,6 +778,55 @@ def _largest_float_coefficients(doc: dict) -> None:
     ridge["coeffs"] = [1.7976931348623157e308] * len(ridge["coeffs"])
 
 
+def _ridge(doc: dict) -> dict:
+    return doc["members"][0]["ridges"][0]
+
+
+def _non_unit_theta(doc: dict) -> None:
+    _ridge(doc)["theta"] = [2.0 * t for t in _ridge(doc)["theta"]]
+
+
+def _theta_longer_than_subset(doc: dict) -> None:
+    # Still of unit norm; only the lengths disagree.
+    _ridge(doc)["theta"].append(0.0)
+
+
+def _decreasing_subset(doc: dict) -> None:
+    _ridge(doc)["subset"].reverse()
+
+
+def _repeated_subset_index(doc: dict) -> None:
+    subset = _ridge(doc)["subset"]
+    subset[1] = subset[0]
+
+
+def _one_coefficient_short(doc: dict) -> None:
+    _ridge(doc)["coeffs"].pop()
+
+
+def _equal_scaler_bounds(doc: dict) -> None:
+    _ridge(doc)["scaler_hi"] = _ridge(doc)["scaler_lo"]
+
+
+def _reversed_scaler_bounds(doc: dict) -> None:
+    ridge = _ridge(doc)
+    lo, hi = ridge["scaler_lo"], ridge["scaler_hi"]
+    ridge["scaler_lo"], ridge["scaler_hi"] = hi, lo
+
+
+# The ridge rules the loader checks, each with its one error line.
+_RIDGE_RULES = {
+    _non_unit_theta: "theta must have unit norm",
+    _theta_longer_than_subset: "subset and theta must be matching vectors",
+    _decreasing_subset: "subset indices must be strictly increasing",
+    _repeated_subset_index: "subset indices must be strictly increasing",
+    _one_coefficient_short: "coefficient count must match the spline basis",
+    _equal_scaler_bounds: "scaler requires hi > lo",
+    _reversed_scaler_bounds: "scaler requires hi > lo",
+    _overflowing_scaler_range: "scaler range hi - lo overflows float64",
+}
+
+
 # Written unquoted, as a literal json.dumps cannot produce from a float.
 OVERFLOW = "1e999"
 
@@ -754,7 +845,9 @@ OVERFLOW = "1e999"
      _fractional_k, _bool_k, _fractional_config_count, _fractional_bic_step,
      _bool_scaler_bounds, _bool_nu, _member_variant_number,
      _member_variant_not_the_configs, _degree_zero, _J_equal_to_degree,
-     _largest_float_coefficients, *_OVERSIZED],
+     _largest_float_coefficients, *_OVERSIZED, _non_unit_theta,
+     _theta_longer_than_subset, _decreasing_subset, _repeated_subset_index,
+     _one_coefficient_short, _equal_scaler_bounds, _reversed_scaler_bounds],
 )
 def test_malformed_model_is_one_line_usage_error(
     tmp_path, capsys, mutate
@@ -776,6 +869,8 @@ def test_malformed_model_is_one_line_usage_error(
         code, err = main(argv), capsys.readouterr().err
     assert code == EXIT_USAGE
     assert _one_error_line(err)
+    if mutate in _RIDGE_RULES:
+        assert err == f"error: {_RIDGE_RULES[mutate]}\n"
     assert not (tmp_path / "p.csv").exists()
 
 

@@ -38,7 +38,7 @@ def training_data(n: int = 80, p: int = 3, seed: int = 0):
 
 def constant_member(value: float) -> PprModel:
     return PprModel(
-        intercept=value, ridges=[], weights=np.zeros(0), variant="aga",
+        intercept=value, ridges=[], weights=np.zeros(0),
         k=0, bic_trace=[], sse_trace=[float("nan")] * 0,
     )
 
