@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -82,6 +82,18 @@ class FitConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+
+# The keys to_json_text writes at each level; a model file holds exactly
+# these.
+_MODEL_KEYS = frozenset({"format", "config", "feature_scaling", "truncation",
+                         "column_names", "members"})
+_CONFIG_KEYS = frozenset(f.name for f in fields(FitConfig))
+_SCALING_KEYS = frozenset({"lo", "hi"})
+_MEMBER_KEYS = frozenset({"variant", "intercept", "k", "weights", "bic_trace",
+                          "sse_trace", "ridges"})
+_RIDGE_KEYS = frozenset({"subset", "theta", "scaler_lo", "scaler_hi",
+                         "coeffs"})
 
 
 def _floor_power(x: float, power: float) -> int:
@@ -270,12 +282,15 @@ def to_json_text(model: EnsembleModel) -> str:
 def from_json_text(text: str) -> EnsembleModel:
     """Rebuild a model from its serialized text.
 
-    A document that does not describe a model (missing or unknown keys,
-    wrong value types, a number that is not finite or overflows, no
-    members, weight count or ``k`` that disagrees with the ridge count, a
-    member variant other than the config's, ``column_names`` other than
-    null or one distinct string per predictor and one for the target, a
-    scaling range that is reversed or overflows, predictions that could
+    A document that does not describe a model (at the top level, in the
+    config or the feature scaling, in a member or in a ridge, any key set
+    other than exactly the one ``to_json_text`` writes there, so a missing
+    key never takes a default and an unknown one is never ignored; wrong
+    value types, a number that is not finite or overflows, no members,
+    weight count or ``k`` that disagrees with the ridge count, a member
+    variant other than the config's, ``column_names`` other than null or
+    one distinct string per predictor and one for the target, a scaling
+    range that is reversed or overflows, predictions that could
     overflow, a truncation that is not positive, lists or objects nested
     past the recursion limit) raises ``ConfigError``.  So does a ridge the
     fit could not have built: subset indices outside the stored predictor
@@ -324,8 +339,19 @@ def _numbers(values, what: str, integer: bool = False) -> np.ndarray:
                     dtype=int if integer else float)
 
 
+def _exact_keys(node: dict, keys: frozenset, what: str) -> dict:
+    """``node``, refused unless its keys are exactly ``keys``."""
+    missing, unknown = keys - node.keys(), node.keys() - keys
+    if missing:
+        raise ConfigError(f"{what} lacks key {min(missing)!r}")
+    if unknown:
+        raise ConfigError(f"{what} has unknown key {min(unknown)!r}")
+    return node
+
+
 def _ridge_from_dict(rdoc: dict, kv: KnotVector, p: int) -> Ridge:
     """A stored ridge, refused unless it is one the fit could have built."""
+    _exact_keys(rdoc, _RIDGE_KEYS, "ridge")
     subset = _numbers(rdoc["subset"], "ridge subset", integer=True)
     if np.any((subset < 0) | (subset >= p)):
         raise ConfigError(f"ridge subset {subset.tolist()} outside 0..{p - 1}")
@@ -378,14 +404,17 @@ def _output_bound(members: list[PprModel]) -> float:
 def _model_from_doc(doc: dict) -> EnsembleModel:
     if doc.get("format") != _FORMAT_TAG:
         raise ConfigError(f"unrecognized model format {doc.get('format')!r}")
-    config = FitConfig(**doc["config"])
+    _exact_keys(doc, _MODEL_KEYS, "model")
+    config = FitConfig(**_exact_keys(doc["config"], _CONFIG_KEYS, "config"))
     for name in ("q", "ell", "B", "k_max", "J", "degree", "seed"):
         _number(getattr(config, name), f"config {name}", integer=True)
     _number(config.nu, "config nu")
     config.validate()
+    bounds = _exact_keys(doc["feature_scaling"], _SCALING_KEYS,
+                         "feature_scaling")
     scaling = ColumnScaling(
-        lo=_numbers(doc["feature_scaling"]["lo"], "feature_scaling lo"),
-        hi=_numbers(doc["feature_scaling"]["hi"], "feature_scaling hi"),
+        lo=_numbers(bounds["lo"], "feature_scaling lo"),
+        hi=_numbers(bounds["hi"], "feature_scaling hi"),
     )
     p = scaling.lo.size
     if scaling.hi.shape != (p,):
@@ -401,6 +430,7 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
         raise ConfigError("model has no members")
     members = []
     for mdoc in doc["members"]:
+        _exact_keys(mdoc, _MEMBER_KEYS, "member")
         ridges = [_ridge_from_dict(rdoc, kv, p) for rdoc in mdoc["ridges"]]
         weights = _numbers(mdoc["weights"], "weights")
         if weights.shape != (len(ridges),):
@@ -429,8 +459,8 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
         )
     if not math.isfinite(_output_bound(members)):
         raise ConfigError("model predictions could overflow float64")
-    names = _column_names(doc.get("column_names"), p)
-    truncation = doc.get("truncation")
+    names = _column_names(doc["column_names"], p)
+    truncation = doc["truncation"]
     if truncation is not None:
         truncation = _number(truncation, "truncation")
         if not truncation > 0.0:

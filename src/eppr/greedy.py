@@ -4,8 +4,10 @@ Three update rules share the candidate-search skeleton: ``aga`` jointly
 refits every spline coefficient after each new term, ``oga`` rescales new
 terms to unit empirical norm and refits only the scalar multipliers, and
 ``rga`` shrinks the running fit by a relaxation factor before each new
-term.  A BIC criterion decides where to stop, from the penalty alone when
-no SSE could keep the next step, so that step is never fitted.
+term.  ``run_greedy`` records the SSE and BIC of every step it fits, in one
+place after the step.  A BIC criterion decides where to stop, from the
+penalty alone when no SSE could keep the next step, so that step is never
+fitted.
 """
 
 from __future__ import annotations
@@ -76,15 +78,15 @@ class RunState:
 
     rng: np.random.Generator
     yc: np.ndarray
+    fitted: np.ndarray
     ridges: list[Ridge] = field(default_factory=list)
     weights: list[float] = field(default_factory=list)
-    fitted: np.ndarray | None = None
     design_blocks: list[np.ndarray] = field(default_factory=list)
     oga_columns: list[np.ndarray] = field(default_factory=list)
     sse_trace: list[float] = field(default_factory=list)
     bic_trace: list[tuple[int, float]] = field(default_factory=list)
     objective_trace: list[float] = field(default_factory=list)
-    min_mean_diag: float | None = None
+    min_mean_diag: float = math.inf
 
     def snapshot(self) -> tuple[list[Ridge], list[float]]:
         return list(self.ridges), list(self.weights)
@@ -150,21 +152,17 @@ def _zero_ridge(data: RunData, config) -> Ridge:
 
 
 def _record_step(state: RunState, config, data: RunData) -> None:
+    """Append the SSE and BIC of the model as of the step just fitted."""
     tau = len(state.ridges)
     residual = state.yc - state.fitted
     sse = float(residual @ residual)
     state.sse_trace.append(sse)
-    state.bic_trace.append(
-        (
-            tau,
-            bic_value(
-                tau, sse, data.y.shape[0], config.q, data.kv.basis_count, config.nu
-            ),
-        )
-    )
+    state.bic_trace.append((tau, bic_value(
+        tau, sse, data.y.shape[0], config.q, data.kv.basis_count, config.nu
+    )))
 
 
-def greedy_step_aga(state: RunState, data: RunData, config) -> RunState:
+def greedy_step_aga(state: RunState, data: RunData, config) -> None:
     """Append the best candidate ridge, then jointly refit all coefficients.
 
     Directions and scalers stay fixed; the damped joint objective never
@@ -185,11 +183,7 @@ def greedy_step_aga(state: RunState, data: RunData, config) -> RunState:
         state.design_blocks.append(ridge_design_block(ridge, data.X))
 
     design = np.hstack(state.design_blocks)
-    mean_diag = gram_mean_diag(design)
-    if state.min_mean_diag is None:
-        state.min_mean_diag = mean_diag
-    else:
-        state.min_mean_diag = min(state.min_mean_diag, mean_diag)
+    state.min_mean_diag = min(state.min_mean_diag, gram_mean_diag(design))
     damping = DEFAULT_DAMPING_SCALE * state.min_mean_diag
 
     sol = solve_ridge_ls(design, state.yc, damping)
@@ -202,11 +196,9 @@ def greedy_step_aga(state: RunState, data: RunData, config) -> RunState:
         sol.coefficients @ sol.coefficients
     )
     state.objective_trace.append(objective)
-    _record_step(state, config, data)
-    return state
 
 
-def greedy_step_oga(state: RunState, data: RunData, config) -> RunState:
+def greedy_step_oga(state: RunState, data: RunData, config) -> None:
     """Append the best candidate rescaled to unit empirical norm, refit scalars.
 
     Only the multipliers c_1..c_k are re-solved (undamped, minimum-norm on
@@ -230,11 +222,9 @@ def greedy_step_oga(state: RunState, data: RunData, config) -> RunState:
     sol = solve_ridge_ls(columns, state.yc, damping=0.0)
     state.weights = [float(c) for c in sol.coefficients]
     state.fitted = columns @ sol.coefficients
-    _record_step(state, config, data)
-    return state
 
 
-def greedy_step_rga(state: RunState, data: RunData, config) -> RunState:
+def greedy_step_rga(state: RunState, data: RunData, config) -> None:
     """Shrink the running fit by alpha_k, then add a ridge fit to the gap.
 
     The model stays a weighted sum of stored terms: every previous weight
@@ -250,8 +240,6 @@ def greedy_step_rga(state: RunState, data: RunData, config) -> RunState:
     state.ridges.append(ridge)
     state.weights = [w * alpha for w in state.weights] + [1.0]
     state.fitted = alpha * state.fitted + values
-    _record_step(state, config, data)
-    return state
 
 
 _STEP_FUNCTIONS = {
@@ -271,17 +259,16 @@ def run_greedy(data: RunData, config, rng: np.random.Generator) -> PprModel:
     discarded only when BIC(tau) is not below ``bic_value(tau + 1, 0.0, ...)``,
     the penalty of tau + 1 terms: BIC never falls as the SSE grows, so below
     that the stop is already decided and the step is skipped.  The kept
-    model is the same either way; the traces list the steps fitted.
+    model is the same either way.  Each fitted step's SSE and BIC are
+    recorded here, after the step, so the traces list the steps fitted.
     """
     n = data.X.shape[0]
     step = _STEP_FUNCTIONS[config.variant]
 
     intercept = float(np.mean(data.y))
-    state = RunState(rng=rng, yc=data.y - intercept)
-    state.fitted = np.zeros(n)
+    state = RunState(rng=rng, yc=data.y - intercept, fitted=np.zeros(n))
 
     bic = config.stopping == "bic"
-    chosen: tuple[list[Ridge], list[float]] | None = None
     for tau in range(1, config.k_max + 1):
         # No SSE >= 0 could keep step tau: stop without fitting it.
         if bic and tau >= 2 and state.bic_trace[-1][1] < bic_value(
@@ -290,21 +277,17 @@ def run_greedy(data: RunData, config, rng: np.random.Generator) -> PprModel:
             break
         before = state.snapshot()
         step(state, data, config)
+        _record_step(state, config, data)
         # BIC(tau - 1) < BIC(tau): keep the model as of step tau - 1 and
         # discard the term just added.
         if bic and tau >= 2 and state.bic_trace[-2][1] < state.bic_trace[-1][1]:
-            chosen = before
+            state.ridges, state.weights = before
             break
-    if chosen is None:
-        chosen = state.snapshot()
-    k_star = len(chosen[0])
-
-    ridges, weights = chosen
     return PprModel(
         intercept=intercept,
-        ridges=ridges,
-        weights=np.asarray(weights, dtype=float),
-        k=k_star,
+        ridges=state.ridges,
+        weights=np.asarray(state.weights, dtype=float),
+        k=len(state.ridges),
         bic_trace=state.bic_trace,
         sse_trace=state.sse_trace,
         objective_trace=(

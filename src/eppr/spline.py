@@ -1,10 +1,11 @@
 """Clamped B-spline bases on [-1, 1], uniform knots built from (J, degree).
 
-Evaluation is span-local.  Each ``KnotVector`` builds, once, the Bernstein
-coefficients of the ``degree + 1`` basis pieces that are non-zero on each
-knot span by one recurrence, and their slopes as the scaled differences of
-those coefficients (de Boor, *A Practical Guide to Splines*; Farin,
-*Curves and Surfaces for CAGD*; Piegl & Tiller, *The NURBS Book*, A2.2).
+Evaluation is span-local.  ``make_uniform_knots`` builds, once per knot
+vector, the Bernstein coefficients of the ``degree + 1`` basis pieces that
+are non-zero on each knot span by one recurrence, and their slopes as the
+scaled differences of those coefficients (de Boor, *A Practical Guide to
+Splines*; Farin, *Curves and Surfaces for CAGD*; Piegl & Tiller, *The
+NURBS Book*, A2.2).
 For the dense value rows the fit's least-squares solves use, a point is
 located by one binary search, its local coordinate t = (v - T[span]) /
 (T[span+1] - T[span]) weights the span's table, and the ``degree + 1``
@@ -45,43 +46,28 @@ import numpy as np
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Clamped uniform knot sequence on [-1, 1], always built here.
+    """Clamped uniform knot sequence on [-1, 1] and its span tables.
 
-    ``knots`` is derived from ``(degree, basis_count)`` and read-only: each
-    endpoint repeated ``degree + 1`` times and ``basis_count - degree - 1``
-    equally spaced breakpoints strictly inside (-1, 1).  ``FitConfig.validate``
+    ``make_uniform_knots`` builds every one, and each array it passes in is
+    read-only.  ``knots`` repeats each endpoint ``degree + 1`` times around
+    ``basis_count - degree - 1`` equally spaced breakpoints strictly inside
+    (-1, 1).  Two knot vectors compare and hash on ``(degree,
+    basis_count)`` alone, which determine the rest.  ``FitConfig.validate``
     ensures ``basis_count >= degree + 1 >= 2``; this class does not check.
     """
 
     degree: int
     basis_count: int
-    knots: np.ndarray = field(init=False, repr=False, compare=False)
-    # Span-local tables, built once in __post_init__ (see _span_tables),
-    # and the knot slices and local column offsets every evaluation reads.
-    _span_lo: np.ndarray = field(init=False, repr=False, compare=False)
-    _span_width: np.ndarray = field(init=False, repr=False, compare=False)
-    _inner_knots: np.ndarray = field(init=False, repr=False, compare=False)
-    _local_cols: np.ndarray = field(init=False, repr=False, compare=False)
-    _control_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    _deriv_control: np.ndarray = field(init=False, repr=False, compare=False)
-    _value_table: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        d, J = self.degree, self.basis_count
-        breaks = np.linspace(-1.0, 1.0, J - d + 1)
-        knots = np.concatenate(
-            [np.full(d + 1, -1.0), breaks[1:-1], np.full(d + 1, 1.0)]
-        )
-        knots.setflags(write=False)
-        width, control, deriv_control, values = _span_tables(knots, d, J)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "_span_lo", knots[d:J])
-        object.__setattr__(self, "_span_width", width)
-        object.__setattr__(self, "_inner_knots", knots[d + 1:J])
-        object.__setattr__(self, "_local_cols", np.arange(d + 1)[:, None])
-        object.__setattr__(self, "_control_matrix", control)
-        object.__setattr__(self, "_deriv_control", deriv_control)
-        object.__setattr__(self, "_value_table", values)
+    knots: np.ndarray = field(repr=False, compare=False)
+    # The knot slices and local column offsets every evaluation reads, then
+    # the span-local tables in the order _span_tables returns them.
+    _span_lo: np.ndarray = field(repr=False, compare=False)
+    _inner_knots: np.ndarray = field(repr=False, compare=False)
+    _local_cols: np.ndarray = field(repr=False, compare=False)
+    _span_width: np.ndarray = field(repr=False, compare=False)
+    _control_matrix: np.ndarray = field(repr=False, compare=False)
+    _deriv_control: np.ndarray = field(repr=False, compare=False)
+    _value_table: np.ndarray = field(repr=False, compare=False)
 
 
 def _times_linear(
@@ -140,11 +126,8 @@ def _span_tables(
     width = hi - lo
     slopes = d / width[:, None, None] * np.diff(stage, axis=1)
     values = (stage * _binomials(d)[:, None]).transpose(1, 2, 0).copy()
-    out = (width, _control(stage, basis_count),
-           _control(slopes, basis_count), values)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    return (width, _control(stage, basis_count),
+            _control(slopes, basis_count), values)
 
 
 def _control(pieces: np.ndarray, basis_count: int) -> np.ndarray:
@@ -172,9 +155,20 @@ def _binomials(n: int) -> np.ndarray:
 def make_uniform_knots(basis_count: int, degree: int) -> KnotVector:
     """The clamped uniform knot vector of dimension ``basis_count`` (J).
 
-    There are ``J - degree`` polynomial pieces on [-1, 1].
+    There are ``J - degree`` polynomial pieces on [-1, 1].  This is the one
+    place a ``KnotVector`` is built: the knots, their slices and the span
+    tables are formed here once and made read-only.
     """
-    return KnotVector(degree=degree, basis_count=basis_count)
+    d, J = degree, basis_count
+    breaks = np.linspace(-1.0, 1.0, J - d + 1)
+    knots = np.concatenate(
+        [np.full(d + 1, -1.0), breaks[1:-1], np.full(d + 1, 1.0)]
+    )
+    arrays = (knots, knots[d:J], knots[d + 1:J], np.arange(d + 1)[:, None],
+              *_span_tables(knots, d, J))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return KnotVector(d, J, *arrays)
 
 
 def _bernstein(t: np.ndarray, degree: int) -> np.ndarray:

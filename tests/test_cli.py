@@ -827,13 +827,59 @@ _RIDGE_RULES = {
 }
 
 
+def _dropping(*path):
+    """A mutation that deletes the key at ``path``, named after it."""
+    def mutate(doc: dict) -> None:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    mutate.__name__ = "_drop_" + "_".join(path)
+    return mutate
+
+
+def _unknown_top_level_key(doc: dict) -> None:
+    doc["bogus"] = 1
+
+
+def _unknown_feature_scaling_key(doc: dict) -> None:
+    doc["feature_scaling"]["bogus"] = 1
+
+
+def _unknown_member_key(doc: dict) -> None:
+    doc["members"][0]["bogus"] = 1
+
+
+def _unknown_ridge_key(doc: dict) -> None:
+    _ridge(doc)["bogus"] = 1
+
+
+_CONFIG_FIELDS = ("variant", "q", "ell", "B", "k_max", "J", "degree", "nu",
+                  "stopping", "truncation_mode", "seed")
+
+
+# A model file holds exactly the keys the writer writes, each with its one
+# error line when missing or unknown.
+_KEY_RULES = {
+    **{_dropping("config", name): f"config lacks key {name!r}"
+       for name in _CONFIG_FIELDS},
+    _dropping("truncation"): "model lacks key 'truncation'",
+    _dropping("column_names"): "model lacks key 'column_names'",
+    _unknown_top_level_key: "model has unknown key 'bogus'",
+    _unknown_config_field: "config has unknown key 'bogus'",
+    _unknown_feature_scaling_key: "feature_scaling has unknown key 'bogus'",
+    _unknown_member_key: "member has unknown key 'bogus'",
+    _unknown_ridge_key: "ridge has unknown key 'bogus'",
+}
+
+
 # Written unquoted, as a literal json.dumps cannot produce from a float.
 OVERFLOW = "1e999"
 
 
 @pytest.mark.parametrize(
     "mutate",
-    [_drop_theta, _unknown_config_field, _subset_beyond_p, _extra_weight,
+    [_drop_theta, _subset_beyond_p, _extra_weight,
      _short_scaling_bound, _no_members, _k_exceeds_ridges, _nan_theta,
      _infinite_coeff, _minus_infinite_scaling, _overflowing_weight,
      _overflowing_int_intercept, _overflowing_scaler_range,
@@ -847,7 +893,8 @@ OVERFLOW = "1e999"
      _member_variant_not_the_configs, _degree_zero, _J_equal_to_degree,
      _largest_float_coefficients, *_OVERSIZED, _non_unit_theta,
      _theta_longer_than_subset, _decreasing_subset, _repeated_subset_index,
-     _one_coefficient_short, _equal_scaler_bounds, _reversed_scaler_bounds],
+     _one_coefficient_short, _equal_scaler_bounds, _reversed_scaler_bounds,
+     *_KEY_RULES],
 )
 def test_malformed_model_is_one_line_usage_error(
     tmp_path, capsys, mutate
@@ -869,8 +916,9 @@ def test_malformed_model_is_one_line_usage_error(
         code, err = main(argv), capsys.readouterr().err
     assert code == EXIT_USAGE
     assert _one_error_line(err)
-    if mutate in _RIDGE_RULES:
-        assert err == f"error: {_RIDGE_RULES[mutate]}\n"
+    line = {**_RIDGE_RULES, **_KEY_RULES}.get(mutate)
+    if line is not None:
+        assert err == f"error: {line}\n"
     assert not (tmp_path / "p.csv").exists()
 
 
@@ -963,8 +1011,10 @@ def test_model_field_mutation_fuzz(tmp_path, capsys) -> None:
     """Every field of a small model dropped or retyped, one at a time.
 
     ``predict`` either writes one finite prediction per row, or ends in
-    exit 2 or 3 with exactly one ``error:`` line and no output file.  A
-    warning or an exception escaping ``main`` is a failure.
+    exit 2 or 3 with exactly one ``error:`` line and no output file; a
+    dropped key always ends in exit 2, as a model file holds exactly the
+    keys the writer writes.  A warning or an exception escaping ``main`` is
+    a failure.
     """
     data = synth_file(tmp_path, scenario="ppr3", n=120, p=9)
     model_path = tmp_path / "model.json"
@@ -991,7 +1041,10 @@ def test_model_field_mutation_fuzz(tmp_path, capsys) -> None:
                     failures.append((*case, repr(exc)))
                     continue
                 err = capsys.readouterr().err
-                if code == EXIT_OK:
+                dropped_key = value is _DROP and isinstance(path[-1], str)
+                if dropped_key and code != EXIT_USAGE:
+                    failures.append((*case, f"exit {code}: {err}"))
+                elif code == EXIT_OK:
                     lines = out.read_text().splitlines()
                     values = np.array(lines[1:], dtype=float)
                     if values.size != 120 or not np.all(np.isfinite(values)):

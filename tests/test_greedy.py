@@ -427,6 +427,31 @@ class TestPenaltyBoundStop:
             assert fired >= 1
         assert stepped >= 1
 
+    @pytest.mark.parametrize("stopping", ["bic", "fixed_k"])
+    @pytest.mark.parametrize("variant", ["aga", "oga", "rga"])
+    def test_traces_hold_one_entry_per_step_fitted(
+        self, monkeypatch, variant: str, stopping: str
+    ) -> None:
+        steps = []
+        step = greedy._STEP_FUNCTIONS[variant]
+
+        def counted(*args) -> None:
+            steps.append(len(args[0].ridges))
+            step(*args)
+
+        monkeypatch.setitem(greedy._STEP_FUNCTIONS, variant, counted)
+        for i, data in enumerate(self.datasets()):
+            steps.clear()
+            cfg = make_config(variant=variant, q=2, ell=2, k_max=5,
+                              stopping=stopping)
+            model = run_greedy(data, cfg, np.random.default_rng(40 + i))
+            assert steps == list(range(len(steps)))
+            assert len(model.bic_trace) == len(model.sse_trace) == len(steps)
+            if variant == "aga":
+                assert len(model.objective_trace) == len(steps)
+            if stopping == "fixed_k":
+                assert len(steps) == cfg.k_max
+
     @pytest.mark.parametrize("variant", ["aga", "oga", "rga"])
     def test_fixed_k_fits_every_step(self, variant: str) -> None:
         data = make_data(200, 2, lambda X, r: np.sin(2.0 * X[:, 0]), seed=34)

@@ -1,6 +1,7 @@
 """B-spline basis construction, evaluation, and derivatives."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ class TestMakeUniformKnots:
         # The span tables describe these knots, so they cannot change.
         with pytest.raises(ValueError, match="read-only"):
             kv.knots[4] = 0.5
+
+    def test_arrays_read_only_and_identity_is_degree_and_count(self) -> None:
+        kv = make_uniform_knots(7, 3)
+        arrays = [getattr(kv, f.name) for f in fields(kv)
+                  if f.name not in ("degree", "basis_count")]
+        assert len(arrays) == 8
+        assert not any(arr.flags.writeable for arr in arrays)
+        twin = make_uniform_knots(7, 3)
+        assert twin.knots is not kv.knots
+        assert twin == kv and hash(twin) == hash(kv) and len({kv, twin}) == 1
+        assert make_uniform_knots(7, 2) != kv
+        assert make_uniform_knots(8, 3) != kv
 
     def test_dimension_rule(self) -> None:
         for J, degree in [(6, 3), (10, 2), (7, 1), (30, 3)]:
