@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -196,24 +196,29 @@ def write_scenario_csv(path: str, X: np.ndarray, y: np.ndarray) -> None:
 
 @dataclass
 class BenchmarkReport:
-    """Everything a benchmark run produced.
+    """Everything a benchmark run produced, one list entry per repeat.
 
-    Wall-clock time is logged to stderr while the run goes and never
-    stored here, so identical runs yield byte-identical reports.
+    ``values`` holds each repeat's metric, or ``None`` where it is
+    undefined, with the reason at the same index of ``errors``;
+    ``baseline_values`` is ``None`` unless the linear baseline was scored.
+    Wall-clock time is never stored here, so identical runs yield
+    byte-identical reports.
     """
 
     data_label: str
     task: str
-    metric_name: str
-    repeats: int
     seed: int
-    n_train: int
-    n_test: int
-    values: list[float | None]
-    errors: list[str | None]
-    k_means: list[float | None]
-    baseline_values: list[float | None] | None
-    config_snapshot: dict
+    n_train: int = 0
+    n_test: int = 0
+    config_snapshot: dict = field(default_factory=dict)
+    values: list[float | None] = field(default_factory=list)
+    errors: list[str | None] = field(default_factory=list)
+    k_means: list[float] = field(default_factory=list)
+    baseline_values: list[float | None] | None = None
+
+    @property
+    def metric_name(self) -> str:
+        return "rpe" if self.task == "regression" else "mr"
 
     def successful(self) -> list[float]:
         return [v for v in self.values if v is not None]
@@ -221,24 +226,6 @@ class BenchmarkReport:
     def render(self) -> str:
         name = self.metric_name
         with_base = self.baseline_values is not None
-        # One pass over the repeats: each gives its table row and its
-        # [machine] values, "failed" where a metric is undefined.
-        rows, machine, machine_base = [], [], []
-        for i, value in enumerate(self.values):
-            base = self.baseline_values[i] if with_base else None
-            if value is None:
-                row = f"{i + 1:>6}  {'-':>7}  {'failed':>12}"
-                base_cell, note = "-", f"   ({self.errors[i]})"
-            else:
-                row = f"{i + 1:>6}  {self.k_means[i]:>7.2f}  {value:>12.6f}"
-                base_cell = "-" if base is None else f"{base:.6f}"
-                note = ""
-            if with_base:
-                row += f"  {base_cell:>16}"
-            rows.append(row + note)
-            machine.append("failed" if value is None else repr(value))
-            machine_base.append("failed" if base is None else repr(base))
-
         header = f"{'repeat':>6}  {'k_mean':>7}  {name:>12}"
         if with_base:
             header += f"  {'baseline_' + name:>16}"
@@ -246,15 +233,47 @@ class BenchmarkReport:
             "ensemble projection pursuit benchmark",
             f"data: {self.data_label}",
             f"task: {self.task}   metric: {name}",
-            f"repeats: {self.repeats}   seed: {self.seed}",
+            f"repeats: {len(self.values)}   seed: {self.seed}",
             f"split: {self.n_train} train / {self.n_test} test",
             "",
             header,
-            *rows,
-            "",
         ]
+        kv = {
+            "data": self.data_label,
+            "task": self.task,
+            "metric": name,
+            "repeats": len(self.values),
+            "seed": self.seed,
+            "n_train": self.n_train,
+            "n_test": self.n_test,
+        }
+        for key in sorted(self.config_snapshot):
+            kv[f"config_{key}"] = self.config_snapshot[key]
+        # One pass over the repeats: each writes its table row and its
+        # [machine] values, "failed" where a metric is undefined.  The
+        # baseline's values follow the summary, so they wait in base_kv.
+        base_kv = {}
+        bases = self.baseline_values or [None] * len(self.values)
+        for i, (value, error, k_mean, base) in enumerate(
+            zip(self.values, self.errors, self.k_means, bases), 1
+        ):
+            if value is None:
+                row = f"{i:>6}  {'-':>7}  {'failed':>12}"
+                base_cell, note = "-", f"   ({error})"
+            else:
+                row = f"{i:>6}  {k_mean:>7.2f}  {value:>12.6f}"
+                base_cell = "-" if base is None else f"{base:.6f}"
+                note = ""
+            if with_base:
+                row += f"  {base_cell:>16}"
+                base_kv[f"baseline_{name}_repeat_{i}"] = (
+                    "failed" if base is None else repr(base)
+                )
+            lines.append(row + note)
+            kv[f"{name}_repeat_{i}"] = "failed" if value is None else repr(value)
+        lines.append("")
+
         good = self.successful()
-        base_good = [v for v in self.baseline_values or [] if v is not None]
         if good:
             mean = float(np.mean(good))
             std = float(np.std(good))
@@ -262,37 +281,20 @@ class BenchmarkReport:
                 f"summary: {name} mean {mean:.6f}  std {std:.6f}"
                 f"  over {len(good)} repeat(s)"
             )
+            kv[f"{name}_mean"] = repr(mean)
+            kv[f"{name}_std"] = repr(std)
         else:
             lines.append("summary: no successful repeats")
+        kv.update(base_kv)
+        base_good = [v for v in self.baseline_values or [] if v is not None]
         if base_good:
             base_mean = float(np.mean(base_good))
             lines.append(
                 f"baseline: {name} mean {base_mean:.6f}  std "
                 f"{float(np.std(base_good)):.6f}"
             )
-        lines.append("")
-
-        kv = {
-            "data": self.data_label,
-            "task": self.task,
-            "metric": name,
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-        }
-        for key in sorted(self.config_snapshot):
-            kv[f"config_{key}"] = self.config_snapshot[key]
-        for i, value in enumerate(machine):
-            kv[f"{name}_repeat_{i + 1}"] = value
-        if good:
-            kv[f"{name}_mean"] = repr(mean)
-            kv[f"{name}_std"] = repr(std)
-        if with_base:
-            for i, value in enumerate(machine_base):
-                kv[f"baseline_{name}_repeat_{i + 1}"] = value
-        if base_good:
             kv[f"baseline_{name}_mean"] = repr(base_mean)
+        lines.append("")
         lines.append("[machine]")
         lines.extend(f"{key}={value}" for key, value in kv.items())
         lines.append("")
@@ -333,8 +335,9 @@ def run_benchmark(
 
     Each repeat draws its own partition and fit seed from (seed, repeat
     index); the fit uses data-driven defaults unless ``overrides`` pins
-    specific fields.  Metric failures are recorded per repeat rather than
-    aborting the run.  ``workers`` is passed on to ``ensemble.fit``.
+    specific fields.  A repeat whose metric is undefined is recorded with
+    its reason and the run goes on.  ``workers`` is passed on to
+    ``ensemble.fit``.
     """
     if task not in ("regression", "classification"):
         raise ConfigError("task must be regression or classification")
@@ -342,30 +345,24 @@ def run_benchmark(
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    metric_name = "rpe" if task == "regression" else "mr"
 
-    values: list[float | None] = []
-    errors: list[str | None] = []
-    k_means: list[float | None] = []
-    baseline_values: list[float | None] | None = [] if baseline else None
-    config_snapshot: dict = {}
-    n_train = n_test = 0
-
+    report = BenchmarkReport(data_label, task, seed,
+                             baseline_values=[] if baseline else None)
     for rep in range(repeats):
         part_rng = np.random.default_rng([seed, rep, 0])
         train, test = partition(dataset, part_rng)
-        n_train, n_test = train.X.shape[0], test.X.shape[0]
-        config = ensemble.default_config(n_train, train.X.shape[1])
+        report.n_train, report.n_test = train.X.shape[0], test.X.shape[0]
+        config = ensemble.default_config(report.n_train, train.X.shape[1])
         if overrides:
             config = replace(config, **overrides)
+        # The same for every repeat but the seed, which is per repeat; the
+        # report gives the protocol seed instead.
+        report.config_snapshot = dict(vars(config))
+        del report.config_snapshot["seed"]
         fit_seed = int(
             np.random.SeedSequence([seed, rep, 1]).generate_state(1)[0]
         )
         config = replace(config, seed=fit_seed)
-        if not config_snapshot:
-            snapshot = dict(vars(config))
-            del snapshot["seed"]  # per-repeat; the protocol seed is reported
-            config_snapshot = snapshot
 
         started = time.perf_counter()
         model = ensemble.fit(train.X, train.y, config, workers=workers)
@@ -376,30 +373,16 @@ def run_benchmark(
             file=sys.stderr,
         )
 
-        k_means.append(float(np.mean([m.k for m in model.members])))
+        report.k_means.append(float(np.mean([m.k for m in model.members])))
         y_train_mean = float(np.mean(train.y))
         value, error = _score(task, predictions, test.y, y_train_mean)
-        values.append(value)
-        errors.append(error)
-        if baseline_values is not None:
+        report.values.append(value)
+        report.errors.append(error)
+        if baseline:
             base_pred = _linear_baseline(train.X, train.y, test.X)
             base, _ = _score(task, base_pred, test.y, y_train_mean)
-            baseline_values.append(base)
-
-    return BenchmarkReport(
-        data_label=data_label,
-        task=task,
-        metric_name=metric_name,
-        repeats=repeats,
-        seed=seed,
-        n_train=n_train,
-        n_test=n_test,
-        values=values,
-        errors=errors,
-        k_means=k_means,
-        baseline_values=baseline_values,
-        config_snapshot=config_snapshot,
-    )
+            report.baseline_values.append(base)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -288,16 +288,20 @@ def from_json_text(text: str) -> EnsembleModel:
     key never takes a default and an unknown one is never ignored; wrong
     value types, a number that is not finite or overflows, no members,
     weight count or ``k`` that disagrees with the ridge count, a member
-    variant other than the config's, ``column_names`` other than null or
-    one distinct string per predictor and one for the target, a scaling
-    range that is reversed or overflows, predictions that could
-    overflow, a truncation that is not positive, lists or objects nested
-    past the recursion limit) raises ``ConfigError``.  So does a ridge the
-    fit could not have built: subset indices outside the stored predictor
-    count or not strictly increasing, a theta that is not as long as its
-    subset or not of unit norm, a scaler whose hi is not above its lo or
-    whose hi - lo overflows, or a coefficient count other than J.  These
-    are the only checks on ``Ridge`` and ``ProjectionScaler`` records.
+    variant other than the config's, member traces that do not list the
+    steps fitted (``bic_trace`` and ``sse_trace`` of equal length, ``k``
+    under ``fixed_k`` and ``k`` or ``k + 1`` under ``bic``, the steps
+    counting 1, 2, ... in order, no SSE below 0), ``column_names`` other
+    than null or one distinct string per predictor and one for the
+    target, a scaling range that is reversed or overflows, predictions
+    that could overflow, a truncation that is not positive, lists or
+    objects nested past the recursion limit) raises ``ConfigError``.  So
+    does a ridge the fit could not have built: subset indices outside the
+    stored predictor count or not strictly increasing, a theta that is not
+    as long as its subset or not of unit norm, a scaler whose hi is not
+    above its lo or whose hi - lo overflows, or a coefficient count other
+    than J.  These are the only checks on ``Ridge`` and
+    ``ProjectionScaler`` records.
     """
     try:
         doc = json.loads(text, parse_float=_finite_float,
@@ -443,18 +447,28 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
         if mdoc["variant"] != config.variant:
             raise ConfigError(f"member variant {mdoc['variant']!r} differs "
                               f"from the config's {config.variant!r}")
+        bic_trace = [
+            (_number(t, "bic_trace step", integer=True),
+             _number(b, "bic_trace value"))
+            for t, b in mdoc["bic_trace"]
+        ]
+        sse_trace = _numbers(mdoc["sse_trace"], "sse_trace")
+        # One entry per step fitted: k, or k + 1 when bic fitted a step it
+        # then discarded.
+        if not k <= sse_trace.size <= k + (config.stopping == "bic"):
+            raise ConfigError(f"member has {sse_trace.size} SSE entries for k={k}")
+        if [t for t, _ in bic_trace] != list(range(1, sse_trace.size + 1)):
+            raise ConfigError("bic_trace steps must count 1, 2, ... beside sse_trace")
+        if np.any(sse_trace < 0.0):
+            raise ConfigError("sse_trace holds a negative SSE")
         members.append(
             PprModel(
                 intercept=_number(mdoc["intercept"], "intercept"),
                 ridges=ridges,
                 weights=weights,
                 k=k,
-                bic_trace=[
-                    (_number(t, "bic_trace step", integer=True),
-                     _number(b, "bic_trace value"))
-                    for t, b in mdoc["bic_trace"]
-                ],
-                sse_trace=_numbers(mdoc["sse_trace"], "sse_trace").tolist(),
+                bic_trace=bic_trace,
+                sse_trace=sse_trace.tolist(),
             )
         )
     if not math.isfinite(_output_bound(members)):

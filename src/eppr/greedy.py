@@ -48,7 +48,8 @@ class PprModel:
 
     ``bic_trace`` and ``sse_trace`` (and aga's ``objective_trace``) hold one
     entry per step fitted: ``k`` of them, or ``k + 1`` when ``bic`` fitted
-    the step it then discarded.
+    the step it then discarded.  The model loader refuses a file whose
+    traces break this.
     """
 
     intercept: float

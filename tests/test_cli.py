@@ -383,6 +383,52 @@ class TestBenchmarkCommand:
         )
         assert 0.0 <= float(machine["mr_mean"]) <= 1.0
 
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_every_repeat_failed_report(self, baseline) -> None:
+        """A ppr3 response is not 0/1, so every classification repeat fails.
+
+        The report holds no fitted number, so its text is exact.
+        """
+        X, y, _ = generate_scenario("ppr3", 60, 9, 0.5,
+                                    np.random.default_rng(1))
+        names = [f"x{j + 1}" for j in range(9)] + ["y"]
+        report = run_benchmark(
+            Dataset(X=X, y=y, column_names=names), task="classification",
+            repeats=2, seed=0, baseline=baseline, data_label="ppr3",
+            overrides={"B": 1, "k_max": 1, "stopping": "fixed_k"},
+        )
+        base_head = "       baseline_mr" if baseline else ""
+        base_cell = "                 -" if baseline else ""
+        reason = "   (classification labels must be 0 or 1)"
+        machine_base = (
+            "baseline_mr_repeat_1=failed\nbaseline_mr_repeat_2=failed\n"
+            if baseline else ""
+        )
+        assert report.render() == (
+            "ensemble projection pursuit benchmark\n"
+            "data: ppr3\n"
+            "task: classification   metric: mr\n"
+            "repeats: 2   seed: 0\n"
+            "split: 40 train / 20 test\n"
+            "\n"
+            f"repeat   k_mean            mr{base_head}\n"
+            f"     1        -        failed{base_cell}{reason}\n"
+            f"     2        -        failed{base_cell}{reason}\n"
+            "\n"
+            "summary: no successful repeats\n"
+            "\n"
+            "[machine]\n"
+            "data=ppr3\ntask=classification\nmetric=mr\nrepeats=2\nseed=0\n"
+            "n_train=40\nn_test=20\n"
+            "config_B=1\nconfig_J=6\nconfig_degree=3\nconfig_ell=2\n"
+            "config_k_max=1\nconfig_nu=0.2\nconfig_q=4\n"
+            "config_stopping=fixed_k\nconfig_truncation_mode=off\n"
+            "config_variant=aga\n"
+            "mr_repeat_1=failed\nmr_repeat_2=failed\n"
+            f"{machine_base}"
+        )
+        assert report.successful() == []
+
     def test_run_benchmark_rejects_bad_args(self) -> None:
         data = Dataset(
             X=np.zeros((10, 2)), y=np.zeros(10),
@@ -814,6 +860,41 @@ def _reversed_scaler_bounds(doc: dict) -> None:
     ridge["scaler_lo"], ridge["scaler_hi"] = hi, lo
 
 
+def _empty_bic_trace(doc: dict) -> None:
+    doc["members"][0]["bic_trace"] = []
+
+
+def _bic_step_renumbered(doc: dict) -> None:
+    doc["members"][0]["bic_trace"][0][0] = 7
+
+
+def _sse_trace_repeated(doc: dict) -> None:
+    doc["members"][0]["sse_trace"] *= 5
+
+
+def _negative_sse(doc: dict) -> None:
+    doc["members"][0]["sse_trace"][0] = -1.0
+
+
+def _fixed_k_step_beyond_k(doc: dict) -> None:
+    # Traces that agree with each other, one step longer than fixed_k fits.
+    member = doc["members"][0]
+    member["bic_trace"].append([2, member["bic_trace"][0][1]])
+    member["sse_trace"].append(member["sse_trace"][0])
+
+
+# The member trace rules, each with its one error line; the model is
+# fixed_k with k = 1, so each trace holds one entry for step 1.
+_TRACE_RULES = {
+    _empty_bic_trace: "bic_trace steps must count 1, 2, ... beside sse_trace",
+    _bic_step_renumbered:
+        "bic_trace steps must count 1, 2, ... beside sse_trace",
+    _sse_trace_repeated: "member has 5 SSE entries for k=1",
+    _negative_sse: "sse_trace holds a negative SSE",
+    _fixed_k_step_beyond_k: "member has 2 SSE entries for k=1",
+}
+
+
 # The ridge rules the loader checks, each with its one error line.
 _RIDGE_RULES = {
     _non_unit_theta: "theta must have unit norm",
@@ -894,7 +975,7 @@ OVERFLOW = "1e999"
      _largest_float_coefficients, *_OVERSIZED, _non_unit_theta,
      _theta_longer_than_subset, _decreasing_subset, _repeated_subset_index,
      _one_coefficient_short, _equal_scaler_bounds, _reversed_scaler_bounds,
-     *_KEY_RULES],
+     *_KEY_RULES, *_TRACE_RULES],
 )
 def test_malformed_model_is_one_line_usage_error(
     tmp_path, capsys, mutate
@@ -916,7 +997,7 @@ def test_malformed_model_is_one_line_usage_error(
         code, err = main(argv), capsys.readouterr().err
     assert code == EXIT_USAGE
     assert _one_error_line(err)
-    line = {**_RIDGE_RULES, **_KEY_RULES}.get(mutate)
+    line = {**_RIDGE_RULES, **_KEY_RULES, **_TRACE_RULES}.get(mutate)
     if line is not None:
         assert err == f"error: {line}\n"
     assert not (tmp_path / "p.csv").exists()
