@@ -65,96 +65,83 @@ def metric_mr(predictions: np.ndarray, y_test: np.ndarray) -> float:
 # Synthetic scenarios
 
 
+def _unit_normal(rng: np.random.Generator, size: int) -> np.ndarray:
+    theta = rng.standard_normal(size)
+    return theta / np.linalg.norm(theta)
+
+
 def generate_scenario(
     scenario: str, n: int, p: int, noise: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, str]:
-    """Draw one synthetic table; returns (X, y, generator description)."""
+    """Draw one synthetic table; returns (X, y, generator description).
+
+    The order of a scenario's draws from ``rng`` is part of its table: the
+    same seed must give the same bytes, so ``single_index`` draws its
+    direction before X and ``ppr3`` draws its three directions after X.
+    """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; pick from {SCENARIOS}")
     if n < 1 or p < 1:
         raise ConfigError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
     if not (math.isfinite(noise) and noise >= 0.0):
         raise ConfigError(f"noise must be a finite number >= 0, got {noise}")
+    if scenario in ("additive3", "ppr3") and p < 9:
+        raise ConfigError(f"{scenario} needs p >= 9")
 
+    if scenario == "two_gaussian":
+        labels = rng.integers(0, 2, size=n)
+        mu = np.full(p, _TWO_GAUSSIAN_DELTA / np.sqrt(p))
+        X = rng.standard_normal((n, p)) + np.where(labels[:, None] == 1, mu, -mu)
+        doc = (
+            "x | y=1 ~ N(+mu, I), x | y=0 ~ N(-mu, I), P(y=1) = 1/2\n"
+            f"mu = ({_TWO_GAUSSIAN_DELTA} / sqrt(p)) * ones(p)\n"
+            "Bayes misclassification rate = Phi(-1.28155...) = 0.10 by\n"
+            "construction; the noise flag is unused.\n"
+        )
+        return X, labels.astype(float), doc
+
+    thetas: dict[str, np.ndarray] = {}
     if scenario == "single_index":
-        theta = rng.standard_normal(p)
-        theta = theta / np.linalg.norm(theta)
-        X = rng.uniform(-1.0, 1.0, size=(n, p))
-        y = np.sin(2.0 * (X @ theta)) + noise * rng.standard_normal(n)
-        doc = (
-            "y = sin(2 * theta' x) + noise * N(0, 1)\n"
-            "x ~ Uniform(-1, 1)^p\n"
-            f"theta = {theta.tolist()!r}\n"
-        )
-        return X, y, doc
-
-    if scenario == "additive3":
-        if p < 9:
-            raise ConfigError("additive3 needs p >= 9")
-        X = rng.uniform(-1.0, 1.0, size=(n, p))
-        m1 = np.sin(np.pi * X[:, 0] * X[:, 1]) + X[:, 2] ** 2
-        m2 = np.cos(np.pi * X[:, 3]) * X[:, 4] + 0.5 * X[:, 5]
-        m3 = np.exp(X[:, 6] * X[:, 7]) - 1.0 + X[:, 8]
-        y = m1 + m2 + m3 + noise * rng.standard_normal(n)
-        doc = (
-            "y = m1(x1,x2,x3) + m2(x4,x5,x6) + m3(x7,x8,x9) + noise * N(0,1)\n"
-            "m1 = sin(pi x1 x2) + x3^2\n"
-            "m2 = cos(pi x4) x5 + 0.5 x6\n"
-            "m3 = exp(x7 x8) - 1 + x9\n"
-            "x ~ Uniform(-1, 1)^p\n"
-        )
-        return X, y, doc
-
-    if scenario == "ppr3":
-        if p < 9:
-            raise ConfigError("ppr3 needs p >= 9")
-        X = rng.uniform(-1.0, 1.0, size=(n, p))
-        subsets = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
-        thetas = []
-        for _ in subsets:
-            t = rng.standard_normal(3)
-            thetas.append(t / np.linalg.norm(t))
-        z1 = X[:, subsets[0]] @ thetas[0]
-        z2 = X[:, subsets[1]] @ thetas[1]
-        z3 = X[:, subsets[2]] @ thetas[2]
-        y = (
-            3.0 * np.sin(np.pi * z1)
-            + 2.0 * z2 ** 2
-            + np.exp(z3)
-            + noise * rng.standard_normal(n)
-        )
-        doc = (
-            "y = 3 sin(pi z1) + 2 z2^2 + exp(z3) + noise * N(0, 1)\n"
-            "z1 = theta1' (x1,x2,x3), z2 = theta2' (x4,x5,x6), "
-            "z3 = theta3' (x7,x8,x9)\n"
-            "x ~ Uniform(-1, 1)^p\n"
-            f"theta1 = {thetas[0].tolist()!r}\n"
-            f"theta2 = {thetas[1].tolist()!r}\n"
-            f"theta3 = {thetas[2].tolist()!r}\n"
-        )
-        return X, y, doc
-
+        thetas["theta"] = _unit_normal(rng, p)
+    X = rng.uniform(-1.0, 1.0, size=(n, p))
     if scenario == "noise":
-        X = rng.uniform(-1.0, 1.0, size=(n, p))
-        y = rng.standard_normal(n)
-        doc = (
+        return X, rng.standard_normal(n), (
             "y = N(0, 1), independent of x; the best relative prediction\n"
             "error attainable is 1 and any lower test value is chance.\n"
             "x ~ Uniform(-1, 1)^p; the noise flag is unused.\n"
         )
-        return X, y, doc
 
-    # two_gaussian
-    labels = rng.integers(0, 2, size=n)
-    mu = np.full(p, _TWO_GAUSSIAN_DELTA / np.sqrt(p))
-    X = rng.standard_normal((n, p)) + np.where(labels[:, None] == 1, mu, -mu)
-    doc = (
-        "x | y=1 ~ N(+mu, I), x | y=0 ~ N(-mu, I), P(y=1) = 1/2\n"
-        f"mu = ({_TWO_GAUSSIAN_DELTA} / sqrt(p)) * ones(p)\n"
-        "Bayes misclassification rate = Phi(-1.28155...) = 0.10 by\n"
-        "construction; the noise flag is unused.\n"
+    if scenario == "single_index":
+        signal = np.sin(2.0 * (X @ thetas["theta"]))
+        formula = "y = sin(2 * theta' x) + noise * N(0, 1)\n"
+    elif scenario == "additive3":
+        m1 = np.sin(np.pi * X[:, 0] * X[:, 1]) + X[:, 2] ** 2
+        m2 = np.cos(np.pi * X[:, 3]) * X[:, 4] + 0.5 * X[:, 5]
+        m3 = np.exp(X[:, 6] * X[:, 7]) - 1.0 + X[:, 8]
+        signal = m1 + m2 + m3
+        formula = (
+            "y = m1(x1,x2,x3) + m2(x4,x5,x6) + m3(x7,x8,x9) + noise * N(0,1)\n"
+            "m1 = sin(pi x1 x2) + x3^2\n"
+            "m2 = cos(pi x4) x5 + 0.5 x6\n"
+            "m3 = exp(x7 x8) - 1 + x9\n"
+        )
+    else:
+        z = []
+        for i in range(3):
+            theta = thetas[f"theta{i + 1}"] = _unit_normal(rng, 3)
+            # A fancy index copies the block of three features; matmul on
+            # a strided slice can round y differently.
+            z.append(X[:, [3 * i, 3 * i + 1, 3 * i + 2]] @ theta)
+        signal = 3.0 * np.sin(np.pi * z[0]) + 2.0 * z[1] ** 2 + np.exp(z[2])
+        formula = (
+            "y = 3 sin(pi z1) + 2 z2^2 + exp(z3) + noise * N(0, 1)\n"
+            "z1 = theta1' (x1,x2,x3), z2 = theta2' (x4,x5,x6), "
+            "z3 = theta3' (x7,x8,x9)\n"
+        )
+    doc = formula + "x ~ Uniform(-1, 1)^p\n" + "".join(
+        f"{name} = {theta.tolist()!r}\n" for name, theta in thetas.items()
     )
-    return X, labels.astype(float), doc
+    return X, signal + noise * rng.standard_normal(n), doc
 
 
 # Rows formatted per write: enough to amortize the per-block numpy and

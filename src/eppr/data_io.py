@@ -290,17 +290,10 @@ def partition(
         raise DataError("too_few_rows", f"need at least 3 rows, got {N}")
     n_train = min((2 * N) // 3, _TRAIN_CAP)
     order = rng.permutation(N)
-    train_idx = np.sort(order[:n_train])
-    test_idx = np.sort(order[n_train:])
-    train = Dataset(
-        X=data.X[train_idx],
-        y=data.y[train_idx],
-        column_names=list(data.column_names),
-    )
-    test = Dataset(
-        X=data.X[test_idx],
-        y=data.y[test_idx],
-        column_names=list(data.column_names),
+    train, test = (
+        Dataset(X=data.X[rows], y=data.y[rows],
+                column_names=list(data.column_names))
+        for rows in (np.sort(order[:n_train]), np.sort(order[n_train:]))
     )
     return train, test
 

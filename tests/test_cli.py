@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -66,6 +67,110 @@ class TestMetricMr:
             metric_mr(np.array([0.5, 0.5]), np.array([0.0, 2.0]))
 
 
+def reference_generate_scenario(scenario, n, p, noise, rng):
+    """The generator before its four uniform scenarios shared one path.
+
+    Kept only as an oracle: ``generate_scenario`` must reproduce its X, y
+    and description bytes, and its errors, draw for draw.
+    """
+    scenarios = ("single_index", "additive3", "ppr3", "noise", "two_gaussian")
+    delta = 1.2815515655446004
+    if scenario not in scenarios:
+        raise ConfigError(f"unknown scenario {scenario!r}; pick from {scenarios}")
+    if n < 1 or p < 1:
+        raise ConfigError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ConfigError(f"noise must be a finite number >= 0, got {noise}")
+
+    if scenario == "single_index":
+        theta = rng.standard_normal(p)
+        theta = theta / np.linalg.norm(theta)
+        X = rng.uniform(-1.0, 1.0, size=(n, p))
+        y = np.sin(2.0 * (X @ theta)) + noise * rng.standard_normal(n)
+        doc = (
+            "y = sin(2 * theta' x) + noise * N(0, 1)\n"
+            "x ~ Uniform(-1, 1)^p\n"
+            f"theta = {theta.tolist()!r}\n"
+        )
+        return X, y, doc
+
+    if scenario == "additive3":
+        if p < 9:
+            raise ConfigError("additive3 needs p >= 9")
+        X = rng.uniform(-1.0, 1.0, size=(n, p))
+        m1 = np.sin(np.pi * X[:, 0] * X[:, 1]) + X[:, 2] ** 2
+        m2 = np.cos(np.pi * X[:, 3]) * X[:, 4] + 0.5 * X[:, 5]
+        m3 = np.exp(X[:, 6] * X[:, 7]) - 1.0 + X[:, 8]
+        y = m1 + m2 + m3 + noise * rng.standard_normal(n)
+        doc = (
+            "y = m1(x1,x2,x3) + m2(x4,x5,x6) + m3(x7,x8,x9) + noise * N(0,1)\n"
+            "m1 = sin(pi x1 x2) + x3^2\n"
+            "m2 = cos(pi x4) x5 + 0.5 x6\n"
+            "m3 = exp(x7 x8) - 1 + x9\n"
+            "x ~ Uniform(-1, 1)^p\n"
+        )
+        return X, y, doc
+
+    if scenario == "ppr3":
+        if p < 9:
+            raise ConfigError("ppr3 needs p >= 9")
+        X = rng.uniform(-1.0, 1.0, size=(n, p))
+        subsets = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+        thetas = []
+        for _ in subsets:
+            t = rng.standard_normal(3)
+            thetas.append(t / np.linalg.norm(t))
+        z1 = X[:, subsets[0]] @ thetas[0]
+        z2 = X[:, subsets[1]] @ thetas[1]
+        z3 = X[:, subsets[2]] @ thetas[2]
+        y = (
+            3.0 * np.sin(np.pi * z1)
+            + 2.0 * z2 ** 2
+            + np.exp(z3)
+            + noise * rng.standard_normal(n)
+        )
+        doc = (
+            "y = 3 sin(pi z1) + 2 z2^2 + exp(z3) + noise * N(0, 1)\n"
+            "z1 = theta1' (x1,x2,x3), z2 = theta2' (x4,x5,x6), "
+            "z3 = theta3' (x7,x8,x9)\n"
+            "x ~ Uniform(-1, 1)^p\n"
+            f"theta1 = {thetas[0].tolist()!r}\n"
+            f"theta2 = {thetas[1].tolist()!r}\n"
+            f"theta3 = {thetas[2].tolist()!r}\n"
+        )
+        return X, y, doc
+
+    if scenario == "noise":
+        X = rng.uniform(-1.0, 1.0, size=(n, p))
+        y = rng.standard_normal(n)
+        doc = (
+            "y = N(0, 1), independent of x; the best relative prediction\n"
+            "error attainable is 1 and any lower test value is chance.\n"
+            "x ~ Uniform(-1, 1)^p; the noise flag is unused.\n"
+        )
+        return X, y, doc
+
+    # two_gaussian
+    labels = rng.integers(0, 2, size=n)
+    mu = np.full(p, delta / np.sqrt(p))
+    X = rng.standard_normal((n, p)) + np.where(labels[:, None] == 1, mu, -mu)
+    doc = (
+        "x | y=1 ~ N(+mu, I), x | y=0 ~ N(-mu, I), P(y=1) = 1/2\n"
+        f"mu = ({delta} / sqrt(p)) * ones(p)\n"
+        "Bayes misclassification rate = Phi(-1.28155...) = 0.10 by\n"
+        "construction; the noise flag is unused.\n"
+    )
+    return X, labels.astype(float), doc
+
+
+def _draw_or_error(generate, scenario, n, p, noise, seed):
+    try:
+        X, y, doc = generate(scenario, n, p, noise, np.random.default_rng(seed))
+    except ConfigError as exc:
+        return str(exc)
+    return X.shape, X.tobytes(), y.tobytes(), doc
+
+
 class TestGenerateScenario:
     def test_shapes_and_determinism(self) -> None:
         for scenario in ("single_index", "additive3", "ppr3", "noise"):
@@ -117,9 +222,23 @@ class TestGenerateScenario:
             generate_scenario("mystery", 10, 2, 0.0,
                               np.random.default_rng(0))
 
-    def test_ppr3_needs_nine_features(self) -> None:
-        with pytest.raises(ConfigError):
-            generate_scenario("ppr3", 10, 4, 0.0, np.random.default_rng(0))
+    @pytest.mark.parametrize("scenario", ["ppr3", "additive3"])
+    def test_ppr3_needs_nine_features(self, scenario) -> None:
+        with pytest.raises(ConfigError, match=f"{scenario} needs p >= 9"):
+            generate_scenario(scenario, 10, 4, 0.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+    def test_matches_reference_bytes(self, scenario) -> None:
+        # Same machine, same numpy: byte equality holds whatever the
+        # platform's sin and exp round to.
+        for seed in (0, 1, 7, 123):
+            for n in (1, 50, 333):
+                for p in (1, 3, 9, 12):
+                    for noise in (0.0, 0.5):
+                        args = (scenario, n, p, noise, seed)
+                        assert _draw_or_error(generate_scenario, *args) == (
+                            _draw_or_error(reference_generate_scenario, *args)
+                        ), args
 
     @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1.0])
     def test_noise_must_be_finite_and_non_negative(self, noise) -> None:
