@@ -156,7 +156,7 @@ def _write_csv(path: str, names: list[str], *columns: np.ndarray) -> None:
     Cells are cast to float64 first, so an int or bool cell writes ``1.0``.
     """
     line = ",".join(["%r"] * len(names)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with ensemble.open_output(path) as handle:
         handle.write(",".join(names) + "\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             block = np.column_stack(
@@ -482,11 +482,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     X, y, doc = generate_scenario(args.scenario, args.n, args.p, args.noise,
                                   rng)
     write_scenario_csv(args.out, X, y)
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"scenario: {args.scenario}\n")
-        handle.write(f"n: {args.n}\np: {args.p}\n")
-        handle.write(f"noise: {args.noise}\nseed: {args.seed}\n\n")
-        handle.write(doc)
+    with ensemble.open_output(meta_path) as handle:
+        handle.write(f"scenario: {args.scenario}\nn: {args.n}\np: {args.p}\n"
+                     f"noise: {args.noise}\nseed: {args.seed}\n\n{doc}")
     print(f"{args.n} rows written to {args.out} (generator in {meta_path})")
     return EXIT_OK
 

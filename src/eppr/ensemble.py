@@ -7,9 +7,11 @@ B and of execution order.  Predictions average the member outputs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -297,11 +299,12 @@ def from_json_text(text: str) -> EnsembleModel:
     that could overflow, a truncation that is not positive, lists or
     objects nested past the recursion limit) raises ``ConfigError``.  So
     does a ridge the fit could not have built: subset indices outside the
-    stored predictor count or not strictly increasing, a theta that is not
-    as long as its subset or not of unit norm, a scaler whose hi is not
-    above its lo or whose hi - lo overflows, or a coefficient count other
-    than J.  These are the only checks on ``Ridge`` and
-    ``ProjectionScaler`` records.
+    stored predictor count or not strictly increasing, a subset whose
+    length is not ``config.q``, a theta that is not as long as its subset
+    or not of unit norm, a scaler whose hi is not above its lo or whose
+    hi - lo overflows, or a coefficient count other than J.  These are the
+    only checks on ``Ridge`` and ``ProjectionScaler`` records.  A config
+    whose ``q`` exceeds the stored predictor count is refused as well.
     """
     try:
         doc = json.loads(text, parse_float=_finite_float,
@@ -479,6 +482,9 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
         truncation = _number(truncation, "truncation")
         if not truncation > 0.0:
             raise ConfigError("truncation must be null or a number > 0")
+    config.validate(p)
+    if any(r.subset.size != config.q for m in members for r in m.ridges):
+        raise ConfigError(f"every ridge subset must hold q={config.q} indices")
     return EnsembleModel(
         config=config,
         members=members,
@@ -488,8 +494,24 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
     )
 
 
+@contextlib.contextmanager
+def open_output(path: str) -> Iterator[TextIO]:
+    """``path`` opened for writing UTF-8 text with LF line ends.
+
+    Every file eppr writes is opened here.  An ``OSError`` raised while
+    the file is open names ``path``: a failed write or close, as on a full
+    disk, carries no file name of its own.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+    except OSError as exc:
+        exc.filename = path
+        raise
+
+
 def save_model(model: EnsembleModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open_output(path) as handle:
         handle.write(to_json_text(model))
 
 

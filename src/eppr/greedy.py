@@ -4,10 +4,11 @@ Three update rules share the candidate-search skeleton: ``aga`` jointly
 refits every spline coefficient after each new term, ``oga`` rescales new
 terms to unit empirical norm and refits only the scalar multipliers, and
 ``rga`` shrinks the running fit by a relaxation factor before each new
-term.  ``run_greedy`` records the SSE and BIC of every step it fits, in one
-place after the step.  A BIC criterion decides where to stop, from the
-penalty alone when no SSE could keep the next step, so that step is never
-fitted.
+term.  A step whose candidates all fail adds a term that is exactly 0; it
+still counts toward k and the traces.  ``run_greedy`` records the SSE and
+BIC of every step it fits, in one place after the step.  A BIC criterion
+decides where to stop, from the penalty alone when no SSE could keep the
+next step, so that step is never fitted.
 """
 
 from __future__ import annotations
@@ -82,15 +83,12 @@ class RunState:
     fitted: np.ndarray
     ridges: list[Ridge] = field(default_factory=list)
     weights: list[float] = field(default_factory=list)
-    design_blocks: list[np.ndarray] = field(default_factory=list)
-    oga_columns: list[np.ndarray] = field(default_factory=list)
+    # aga's design blocks or oga's value columns, one per term.
+    columns: list[np.ndarray] = field(default_factory=list)
     sse_trace: list[float] = field(default_factory=list)
     bic_trace: list[tuple[int, float]] = field(default_factory=list)
     objective_trace: list[float] = field(default_factory=list)
     min_mean_diag: float = math.inf
-
-    def snapshot(self) -> tuple[list[Ridge], list[float]]:
-        return list(self.ridges), list(self.weights)
 
 
 def relaxation_weight(k: int) -> float:
@@ -111,22 +109,19 @@ def select_candidate_subsets(
     Duplicates across candidates are allowed; q = p always yields the full
     index set.
     """
-    return [
-        np.sort(rng.choice(p, size=q, replace=False)) for _ in range(ell)
-    ]
+    return [np.sort(rng.choice(p, size=q, replace=False)) for _ in range(ell)]
 
 
-def _fit_candidates(
-    data: RunData,
-    residuals: np.ndarray,
-    config,
-    state: RunState,
-) -> Ridge | None:
-    """Best single-index fit over the candidate subsets, or ``None``.
+def _new_term(
+    data: RunData, residuals: np.ndarray, config, state: RunState
+) -> tuple[Ridge, np.ndarray]:
+    """Best single-index fit over the candidate subsets, and its design block.
 
     A candidate whose fit raises a numeric error or gives a non-finite SSE
-    is skipped, and ``None`` means all were; configuration errors
-    propagate.  Ties break toward the earliest candidate.
+    is skipped; configuration errors propagate.  Ties break toward the
+    earliest candidate.  When every candidate is skipped the term is the
+    constant-zero ridge on the first q predictors with an all-zero block,
+    so every update rule keeps it at exactly 0.
     """
     subsets = select_candidate_subsets(
         data.X.shape[1], config.q, config.ell, state.rng
@@ -140,16 +135,12 @@ def _fit_candidates(
             )
         except (np.linalg.LinAlgError, FloatingPointError, NumericError):
             continue
-        if not np.isfinite(sse):
-            continue
-        if best is None or sse < best[0]:
+        if np.isfinite(sse) and (best is None or sse < best[0]):
             best = (sse, ridge)
-    return None if best is None else best[1]
-
-
-def _zero_ridge(data: RunData, config) -> Ridge:
-    """The term appended when no candidate fits: exactly 0 everywhere."""
-    return _constant_ridge(np.arange(config.q), config.q, data.kv, 0.0)
+    if best is None:
+        zero = _constant_ridge(np.arange(config.q), config.q, data.kv, 0.0)
+        return zero, np.zeros((data.X.shape[0], data.kv.basis_count))
+    return best[1], ridge_design_block(best[1], data.X)
 
 
 def _record_step(state: RunState, config, data: RunData) -> None:
@@ -171,19 +162,11 @@ def greedy_step_aga(state: RunState, data: RunData, config) -> None:
     The damping level is the running minimum of the mean Gram diagonal so
     later solves are never damped harder than earlier ones.
     """
-    residuals = state.yc - state.fitted
-    ridge = _fit_candidates(data, residuals, config, state)
-    if ridge is None:
-        # A zero block, so the joint refit keeps this term at zero.
-        state.ridges.append(_zero_ridge(data, config))
-        state.design_blocks.append(
-            np.zeros((data.X.shape[0], data.kv.basis_count))
-        )
-    else:
-        state.ridges.append(ridge)
-        state.design_blocks.append(ridge_design_block(ridge, data.X))
+    ridge, block = _new_term(data, state.yc - state.fitted, config, state)
+    state.ridges.append(ridge)
+    state.columns.append(block)
 
-    design = np.hstack(state.design_blocks)
+    design = np.hstack(state.columns)
     state.min_mean_diag = min(state.min_mean_diag, gram_mean_diag(design))
     damping = DEFAULT_DAMPING_SCALE * state.min_mean_diag
 
@@ -193,10 +176,8 @@ def greedy_step_aga(state: RunState, data: RunData, config) -> None:
         state.ridges[i] = replace(ridge, coeffs=sol.coefficients[i * J:(i + 1) * J])
     state.weights = [1.0] * len(state.ridges)
     state.fitted = design @ sol.coefficients
-    objective = sol.sse + damping * float(
-        sol.coefficients @ sol.coefficients
-    )
-    state.objective_trace.append(objective)
+    state.objective_trace.append(
+        sol.sse + damping * float(sol.coefficients @ sol.coefficients))
 
 
 def greedy_step_oga(state: RunState, data: RunData, config) -> None:
@@ -205,11 +186,8 @@ def greedy_step_oga(state: RunState, data: RunData, config) -> None:
     Only the multipliers c_1..c_k are re-solved (undamped, minimum-norm on
     ties), so the residual norm cannot increase.
     """
-    residuals = state.yc - state.fitted
-    ridge = _fit_candidates(data, residuals, config, state)
-    if ridge is None:
-        ridge = _zero_ridge(data, config)
-    values = ridge_design_block(ridge, data.X) @ ridge.coeffs
+    ridge, block = _new_term(data, state.yc - state.fitted, config, state)
+    values = block @ ridge.coeffs
     norm = math.sqrt(float(values @ values) / data.X.shape[0])
     if norm > _OGA_NORM_FLOOR:
         ridge = replace(ridge, coeffs=ridge.coeffs / norm)
@@ -217,9 +195,9 @@ def greedy_step_oga(state: RunState, data: RunData, config) -> None:
     # Below the floor (the zero ridge too) the column stays as-is; the
     # minimum-norm refit pins its multiplier near zero.
     state.ridges.append(ridge)
-    state.oga_columns.append(values)
+    state.columns.append(values)
 
-    columns = np.column_stack(state.oga_columns)
+    columns = np.column_stack(state.columns)
     sol = solve_ridge_ls(columns, state.yc, damping=0.0)
     state.weights = [float(c) for c in sol.coefficients]
     state.fitted = columns @ sol.coefficients
@@ -234,10 +212,8 @@ def greedy_step_rga(state: RunState, data: RunData, config) -> None:
     k = len(state.ridges) + 1
     alpha = relaxation_weight(k)
     residuals = state.yc - alpha * state.fitted
-    ridge = _fit_candidates(data, residuals, config, state)
-    if ridge is None:
-        ridge = _zero_ridge(data, config)
-    values = ridge_design_block(ridge, data.X) @ ridge.coeffs
+    ridge, block = _new_term(data, residuals, config, state)
+    values = block @ ridge.coeffs
     state.ridges.append(ridge)
     state.weights = [w * alpha for w in state.weights] + [1.0]
     state.fitted = alpha * state.fitted + values
@@ -276,7 +252,7 @@ def run_greedy(data: RunData, config, rng: np.random.Generator) -> PprModel:
             tau, 0.0, n, config.q, data.kv.basis_count, config.nu
         ):
             break
-        before = state.snapshot()
+        before = list(state.ridges), list(state.weights)
         step(state, data, config)
         _record_step(state, config, data)
         # BIC(tau - 1) < BIC(tau): keep the model as of step tau - 1 and

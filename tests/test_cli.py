@@ -1,6 +1,7 @@
 """Command line interface: metrics, scenarios, subcommands, exit codes."""
 
 import copy
+import errno
 import json
 import math
 import os
@@ -589,6 +590,37 @@ class TestExitCodes:
                      "--stopping", "fixed_k"])
         assert code == EXIT_NUMERIC
 
+    def test_out_of_memory_is_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ) -> None:
+        def exhausted(*args):
+            raise MemoryError("forced")
+
+        monkeypatch.setattr(cli, "generate_scenario", exhausted)
+        out = tmp_path / "t.csv"
+        code = main(["synth", "--scenario", "noise", "--n", "5", "--p", "2",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: out of memory (forced)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "benchmark"])
+    def test_negative_seed_is_usage_error(
+        self, tmp_path, capsys, command
+    ) -> None:
+        out = tmp_path / "t.csv"
+        if command == "synth":
+            argv = ["synth", "--scenario", "noise", "--n", "5", "--p", "2",
+                    "--out", str(out)]
+        else:
+            argv = ["benchmark", "--data", synth_file(tmp_path),
+                    "--target", "y", "--repeats", "1", "--B", "1"]
+        capsys.readouterr()
+        assert main([*argv, "--seed", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert captured.out == "" and not out.exists()
+
     def test_unknown_subcommand(self) -> None:
         with pytest.raises(SystemExit) as excinfo:
             main(["transmogrify"])
@@ -763,6 +795,40 @@ def test_out_in_missing_directory_is_file_error(
     assert main(argv) == EXIT_IO
     err = capsys.readouterr().err
     assert _one_error_line(err) and kind in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full, whose writes fail with ENOSPC")
+@pytest.mark.parametrize("written", ["train", "predict", "synth",
+                                     "synth_sidecar"])
+def test_failed_write_names_the_file(tmp_path, capsys, written) -> None:
+    """A write that fails after the file opened names it, exit 3.
+
+    The output is a link to /dev/full in tmp_path, so ``--out`` passes
+    the writability check for any user and only the write itself fails.
+    """
+    full = tmp_path / "full"
+    full.symlink_to("/dev/full")
+    out = str(full)
+    if written == "train":
+        argv = ["train", "--data", synth_file(tmp_path), "--target", "y",
+                "--B", "1"]
+    elif written == "predict":
+        data, model_path = synth_file(tmp_path), str(tmp_path / "m.json")
+        assert main(["train", "--data", data, "--target", "y",
+                     "--out", model_path, "--B", "1"]) == EXIT_OK
+        argv = ["predict", "--model", model_path, "--data", data]
+    else:
+        argv = ["synth", "--scenario", "noise", "--n", "5", "--p", "2"]
+        if written == "synth_sidecar":
+            out = str(tmp_path / "t.csv")
+            full.rename(out + ".meta.txt")
+            full = Path(out + ".meta.txt")
+    capsys.readouterr()
+    assert main([*argv, "--out", out]) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: cannot write {full}: {os.strerror(errno.ENOSPC)}\n"
+    )
 
 
 def _drop_theta(doc: dict) -> None:
@@ -1027,6 +1093,23 @@ _RIDGE_RULES = {
 }
 
 
+def _q_exceeds_p(doc: dict) -> None:
+    doc["config"]["q"] = len(doc["feature_scaling"]["lo"]) + 1
+
+
+def _q_not_the_subset_length(doc: dict) -> None:
+    # Every ridge still passes its own checks; only config.q disagrees.
+    doc["config"]["q"] -= 1
+
+
+# Rules on q, checked after every other rule, each with its one error
+# line; the model has p = 9 and q = 6.
+_Q_RULES = {
+    _q_exceeds_p: "q=10 exceeds predictor count p=9",
+    _q_not_the_subset_length: "every ridge subset must hold q=5 indices",
+}
+
+
 def _dropping(*path):
     """A mutation that deletes the key at ``path``, named after it."""
     def mutate(doc: dict) -> None:
@@ -1094,7 +1177,7 @@ OVERFLOW = "1e999"
      _largest_float_coefficients, *_OVERSIZED, _non_unit_theta,
      _theta_longer_than_subset, _decreasing_subset, _repeated_subset_index,
      _one_coefficient_short, _equal_scaler_bounds, _reversed_scaler_bounds,
-     *_KEY_RULES, *_TRACE_RULES],
+     *_KEY_RULES, *_TRACE_RULES, *_Q_RULES],
 )
 def test_malformed_model_is_one_line_usage_error(
     tmp_path, capsys, mutate
@@ -1116,7 +1199,8 @@ def test_malformed_model_is_one_line_usage_error(
         code, err = main(argv), capsys.readouterr().err
     assert code == EXIT_USAGE
     assert _one_error_line(err)
-    line = {**_RIDGE_RULES, **_KEY_RULES, **_TRACE_RULES}.get(mutate)
+    rules = {**_RIDGE_RULES, **_KEY_RULES, **_TRACE_RULES, **_Q_RULES}
+    line = rules.get(mutate)
     if line is not None:
         assert err == f"error: {line}\n"
     assert not (tmp_path / "p.csv").exists()

@@ -502,6 +502,60 @@ class TestCandidateFallbacks:
         assert model.sse_trace == [float(centred @ centred)] * 3
 
     @pytest.mark.parametrize("variant", ["aga", "oga", "rga"])
+    def test_zero_term_between_fitted_terms(
+        self, monkeypatch, variant
+    ) -> None:
+        # Both candidates of step 2 fail; steps 1 and 3 fit as usual.
+        real = greedy.fit_single_index
+        calls = []
+
+        def step_two_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) in (3, 4):
+                raise NumericError("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(greedy, "fit_single_index", step_two_fails)
+        data = self.data()
+        cfg = make_config(variant=variant, q=2, ell=2, k_max=3)
+        model = run_greedy(data, cfg, np.random.default_rng(18))
+        assert len(calls) == 6
+        assert model.k == len(model.ridges) == 3
+        assert len(model.sse_trace) == len(model.bic_trace) == 3
+        first, zero, third = model.ridges
+        np.testing.assert_array_equal(zero.subset, [0, 1])
+        # Every rule keeps the term at exactly 0, aga through the joint
+        # refit of step 3 as well.
+        assert np.all(zero.coeffs == 0.0)
+        assert np.any(first.coeffs != 0.0) and np.any(third.coeffs != 0.0)
+        if variant == "oga":
+            assert model.weights[1] == 0.0
+        # The term adds exactly 0: the model predicts as it would without.
+        without = replace(model, ridges=[first, third],
+                          weights=model.weights[[0, 2]], k=2)
+        assert np.array_equal(model.predict(data.X), without.predict(data.X))
+
+    @pytest.mark.parametrize("variant", ["aga", "oga", "rga"])
+    def test_tie_goes_to_the_earliest_candidate(
+        self, monkeypatch, variant
+    ) -> None:
+        real = greedy.fit_single_index
+        returned = []
+
+        def equal_sse(*args, **kwargs):
+            ridge, _ = real(*args, **kwargs)
+            returned.append(ridge)
+            return ridge, 1.0
+
+        monkeypatch.setattr(greedy, "fit_single_index", equal_sse)
+        cfg = make_config(variant=variant, q=2, ell=3, k_max=2)
+        model = run_greedy(self.data(), cfg, np.random.default_rng(19))
+        assert len(returned) == 6
+        for ridge, first in zip(model.ridges, returned[::3]):
+            np.testing.assert_array_equal(ridge.subset, first.subset)
+            np.testing.assert_array_equal(ridge.theta, first.theta)
+
+    @pytest.mark.parametrize("variant", ["aga", "oga", "rga"])
     def test_non_finite_sse_skips_the_candidate(
         self, monkeypatch, variant
     ) -> None:

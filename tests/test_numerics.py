@@ -83,6 +83,18 @@ class TestSolveRidgeLs:
         with pytest.raises(NumericError):
             solve_ridge_ls(np.eye(2), np.array([1.0, np.inf]))
 
+    def test_singular_system_solves_to_none(self) -> None:
+        # LAPACK refuses an exactly singular system with LinAlgError.
+        assert numerics._solve(np.zeros((2, 2)), np.ones(2)) is None
+
+    def test_non_finite_minimum_norm_solution_raises(self) -> None:
+        # The Gram underflows to 0, so the undamped solve falls back to
+        # lstsq, whose solution 1e600 is not finite.
+        with pytest.raises(NumericError, match="produced non-finite values"):
+            solve_ridge_ls(
+                np.full((3, 1), 1e-300), np.full(3, 1e300), damping=0.0
+            )
+
     def test_gram_mean_diag(self) -> None:
         rng = np.random.default_rng(5)
         design = rng.standard_normal((20, 4))
