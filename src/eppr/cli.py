@@ -482,9 +482,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     X, y, doc = generate_scenario(args.scenario, args.n, args.p, args.noise,
                                   rng)
     write_scenario_csv(args.out, X, y)
-    with ensemble.open_output(meta_path) as handle:
-        handle.write(f"scenario: {args.scenario}\nn: {args.n}\np: {args.p}\n"
-                     f"noise: {args.noise}\nseed: {args.seed}\n\n{doc}")
+    try:
+        with ensemble.open_output(meta_path) as handle:
+            handle.write(f"scenario: {args.scenario}\nn: {args.n}\n"
+                         f"p: {args.p}\nnoise: {args.noise}\n"
+                         f"seed: {args.seed}\n\n{doc}")
+    except OSError:
+        # A table without its generator is not written at all.
+        ensemble.discard_output(args.out)
+        raise
     print(f"{args.n} rows written to {args.out} (generator in {meta_path})")
     return EXIT_OK
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
+import stat
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, TextIO
 
@@ -500,14 +502,28 @@ def open_output(path: str) -> Iterator[TextIO]:
 
     Every file eppr writes is opened here.  An ``OSError`` raised while
     the file is open names ``path``: a failed write or close, as on a full
-    disk, carries no file name of its own.
+    disk, carries no file name of its own.  It also removes what was
+    written, through ``discard_output``.
     """
+    handle = open(path, "w", encoding="utf-8", newline="\n")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        with handle:
             yield handle
     except OSError as exc:
         exc.filename = path
+        discard_output(path)
         raise
+
+
+def discard_output(path: str) -> None:
+    """Remove ``path`` if it is a regular file, as a failed write leaves it.
+
+    A device, a symbolic link and the link's target are left as they are,
+    and so is a file that cannot be removed.
+    """
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
 
 
 def save_model(model: EnsembleModel, path: str) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data_io import _unit_scale
 from .numerics import LsSolution, gauss_newton_delta, solve_ridge_ls
-from .spline import KnotVector, basis_deriv_matrix, basis_matrix
+from .spline import KnotVector, basis_deriv_matrix, basis_matrix, locate
 
 # Projection ranges narrower than this collapse the ridge to a constant.
 _DEGENERATE_SPAN = 1e-12
@@ -29,11 +29,14 @@ _MAX_ALTERNATIONS = 20
 _MAX_HALVINGS = 10
 _REL_TOL = 1e-6
 
-# Rows per chunk of a batched ridge evaluation, which bounds its
-# temporaries.  Predicting 20k rows with six 6-ridge members, 8,192 rows
-# beat 2,048 and 4,096 by 10-25% and 12,288 by 15%, where the temporaries
-# start to page-fault on every call; a default B=50 model on 100k rows ran
-# alike from 8,192 to 16,384.
+# A failed trial step whose SSE rise is this fraction of the previous
+# trial's rise, both > 0, ends the halving: the SSE rises in proportion to
+# the step, so no shorter step is expected to lower it.
+_FIRST_ORDER_RISE = (0.4, 0.6)
+
+# Rows per chunk of a batched ridge evaluation: the chunk's temporaries,
+# a few arrays of R x _CHUNK_ROWS points for R ridges, are all it holds at
+# once, whatever the row count.
 _CHUNK_ROWS = 8192
 
 
@@ -172,7 +175,9 @@ def _solve_at_theta(
 ) -> tuple[ProjectionScaler, np.ndarray, LsSolution] | None:
     """Scaler, scaled projections and spline fit for a fixed direction.
 
-    Returns ``None`` when the projections are too narrow to scale.
+    The projections are ``locate``'s result, so the slopes at them reuse
+    the placement of the dense design.  Returns ``None`` when the
+    projections are too narrow to scale.
     """
     z = X_A @ theta
     # The reductions behind z.min() and z.max(), without their wrappers.
@@ -181,7 +186,7 @@ def _solve_at_theta(
     if hi - lo < _DEGENERATE_SPAN:
         return None
     scaler = ProjectionScaler(lo, hi)
-    v = scaler.transform(z)
+    v = locate(kv, scaler.transform(z))
     return scaler, v, solve_ridge_ls(basis_matrix(kv, v), residuals)
 
 
@@ -221,6 +226,12 @@ def fit_single_index(
     a start keeps its last accepted direction when the Gauss-Newton solve
     fails or step-halving runs out.  Requires n > J + q rows, which
     ``ensemble.fit`` checks.
+
+    Step-halving tries the full step and up to 10 halvings.  Past degree 1
+    it also runs out early, at a failed trial whose SSE rise is 0.4 to 0.6
+    times the previous trial's (both > 0): the SSE then rises in proportion
+    to the step.  The rule is not exact: a start that a later, shorter
+    step would have carried on now stops, so its ridge can differ.
     """
     X_A = np.asarray(X_A, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
@@ -267,7 +278,8 @@ def _fit_from_start(
 
     The Gauss-Newton Jacobian takes the spline's slopes from
     ``basis_deriv_matrix(kv, v, coeffs)``, without a dense derivative
-    design; each candidate direction is refitted on the dense value design.
+    design, at the points the accepted solve has placed; each candidate
+    direction is refitted on the dense value design.
     """
     theta = theta0
     state = _solve_at_theta(X_A, residuals, kv, theta)
@@ -287,24 +299,11 @@ def _fit_from_start(
         delta = gauss_newton_delta(sol.residual, jacobian)
         if delta is None:
             break
-
         prev_sse = sol.sse
-        step = delta
-        for _ in range(_MAX_HALVINGS + 1):
-            cand_theta = _unit(theta + step)
-            step = step * 0.5
-            if cand_theta is None:
-                continue
-            cand_state = _solve_at_theta(X_A, residuals, kv, cand_theta)
-            if cand_state is None:
-                continue
-            if cand_state[2].sse < prev_sse:
-                theta = cand_theta
-                scaler, v, sol = cand_state
-                break
-        else:
-            # Step-halving exhausted without lowering the SSE.
+        accepted = _halve_step(X_A, residuals, kv, theta, delta, prev_sse)
+        if accepted is None:
             break
+        theta, (scaler, v, sol) = accepted
         if prev_sse - sol.sse < _REL_TOL * max(prev_sse, 1e-30):
             break
 
@@ -313,3 +312,38 @@ def _fit_from_start(
         knots=kv,
     )
     return sol.sse, ridge
+
+
+def _halve_step(
+    X_A: np.ndarray,
+    residuals: np.ndarray,
+    kv: KnotVector,
+    theta: np.ndarray,
+    delta: np.ndarray,
+    prev_sse: float,
+) -> tuple[np.ndarray, tuple] | None:
+    """The first direction theta + delta / 2**k, k = 0.._MAX_HALVINGS,
+    whose refit lowers the SSE below ``prev_sse``, with its solve; else
+    ``None``.
+
+    Past degree 1, the halving also ends, with ``None``, at a failed trial
+    whose SSE rise is in ``_FIRST_ORDER_RISE`` times the previous trial's.
+    A trial with no direction or a degenerate projection has no rise.
+    """
+    low, high = _FIRST_ORDER_RISE
+    rise = None
+    for _ in range(_MAX_HALVINGS + 1):
+        cand_theta = _unit(theta + delta)
+        delta = delta * 0.5
+        last, rise = rise, None
+        if cand_theta is None:
+            continue
+        state = _solve_at_theta(X_A, residuals, kv, cand_theta)
+        if state is None:
+            continue
+        if state[2].sse < prev_sse:
+            return cand_theta, state
+        rise = state[2].sse - prev_sse
+        if kv.degree > 1 and last and low * last <= rise <= high * last:
+            return None
+    return None

@@ -23,7 +23,10 @@ search; both steps are convex combinations, so a value stays within the
 range of the coefficients, up to rounding.  Slopes, which the fit's
 Gauss-Newton step evaluates, keep the binary search, so a degree-1 slope,
 which jumps at every knot, takes its one-sided limits as below.  Dense
-derivative rows are the slopes of the J unit coefficient vectors.
+derivative rows are the slopes of the J unit coefficient vectors.  The fit
+places its points once: ``locate`` returns them as ``LocatedPoints``, which
+carry their spans and local coordinates into both the dense value rows and
+the slopes at the same points.
 
 The value table is stored points-last, indexed [Bernstein index, local
 function, span], so gathering the spans of n points gives a block with n
@@ -190,13 +193,38 @@ def _bernstein(t: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _locate(kv: KnotVector, v: np.ndarray) -> np.ndarray:
-    """Span of each point, counted from the first span, by binary search.
+class LocatedPoints(np.ndarray):
+    """Points that carry the span and local coordinate ``locate`` found.
 
-    The span of v counts the interior knots <= v, so an interior knot takes
-    its right limit and v = 1 stays on the last span (its left limit).
+    ``basis_matrix`` and ``basis_deriv_matrix`` take one as ``v`` and skip
+    their binary search, with the bits the search gives.  An array derived
+    from one, such as a slice, a copy or a sum, carries none (``span`` is
+    ``None``) and is searched again.
     """
-    return kv._inner_knots.searchsorted(v, side="right")
+
+    span: np.ndarray | None = None
+    t: np.ndarray | None = None
+
+
+def locate(kv: KnotVector, v: np.ndarray) -> LocatedPoints:
+    """``v`` with each point's span, by binary search, and local coordinate.
+
+    The span, counted from the first span, counts the interior knots <= v,
+    so an interior knot takes its right limit and v = 1 stays on the last
+    span (its left limit).
+    """
+    v = np.asarray(v)
+    points = v.view(LocatedPoints)
+    points.span = kv._inner_knots.searchsorted(v, side="right")
+    points.t = _local_coordinate(kv, v, points.span)
+    return points
+
+
+def _search(kv: KnotVector, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Span and local coordinate of each point, as ``locate`` gives them."""
+    if not isinstance(v, LocatedPoints) or v.span is None:
+        v = locate(kv, v)
+    return v.span, v.t
 
 
 def _local_coordinate(
@@ -227,32 +255,36 @@ def _evaluate(kv: KnotVector, v: np.ndarray) -> np.ndarray:
     points-first layout gives.
     """
     J = kv.basis_count
-    first = _locate(kv, v)
+    span, t = _search(kv, v)
     local = np.einsum(
         "kn,kjn->jn",
-        _bernstein(_local_coordinate(kv, v, first), kv.degree),
-        kv._value_table.take(first, axis=2),
+        _bernstein(t, kv.degree),
+        kv._value_table.take(span, axis=2),
     )
     out = np.zeros((v.size, J))
-    first += _row_starts(v.size, J)  # flat index of each row's span
+    first = span + _row_starts(v.size, J)  # flat index of each row's span
     out.reshape(-1)[first + kv._local_cols] = local
     return out
 
 
-def _span_index(kv: KnotVector, v: np.ndarray) -> np.ndarray:
-    """Span of each point, counted from the first span, without a search.
+def _place_uniformly(
+    kv: KnotVector, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Span of each point, without a search, and its local coordinate.
 
-    It is ``min(floor((v + 1) (J - d) / 2), J - d - 1)``.  Within an ulp of
-    an interior knot that may pick the neighbouring span, putting t an ulp
-    outside [0, 1]; a spline of degree >= 1 is continuous there, so the
-    value moves by rounding only.  A degree-0 spline, which jumps at its
-    knots, would take the wrong side; ``FitConfig.validate`` refuses it.
+    The span, counted from the first span, is ``min(floor((v + 1) (J - d)
+    / 2), J - d - 1)``.  Within an ulp of an interior knot that may pick
+    the neighbouring span, putting t an ulp outside [0, 1]; a spline of
+    degree >= 1 is continuous there, so the value moves by rounding only.
+    A degree-0 spline, which jumps at its knots, would take the wrong side;
+    ``FitConfig.validate`` refuses it.
     """
     spans = kv.basis_count - kv.degree
     x = v + 1.0
     x *= 0.5 * spans
     span = x.astype(np.intp)  # x >= 0, so truncation is the floor
-    return np.minimum(span, spans - 1, out=span)
+    np.minimum(span, spans - 1, out=span)
+    return span, _local_coordinate(kv, v, span)
 
 
 def _bernstein_form(kv, v, coeffs, control_matrix, place):
@@ -261,9 +293,10 @@ def _bernstein_form(kv, v, coeffs, control_matrix, place):
     One product of the (R, basis_count) coefficient stack with
     ``control_matrix`` gives every spline's Bernstein coefficients on every
     span; row r of the stack acts on the r-th of R equal runs of ``v``.
-    ``place(kv, points)`` puts each point on its span, and the point dots
-    one row of Bernstein weights, binomials of the table's degree folded
-    into its inner entries, with its span's coefficients.
+    ``place(kv, points)`` gives each point's span and local coordinate,
+    and the point dots one row of Bernstein weights, binomials of the
+    table's degree folded into its inner entries, with its span's
+    coefficients.
     """
     stack = coeffs.reshape(-1, kv.basis_count)
     R = len(stack)
@@ -272,14 +305,13 @@ def _bernstein_form(kv, v, coeffs, control_matrix, place):
     degree = control.shape[1] - 1
     binomials = _binomials(degree)[1:-1, None]
     out = np.empty(v.size)
-    for points, values, tables in zip(
-        v.reshape(R, -1), out.reshape(R, -1), control
-    ):
-        span = place(kv, points)
-        weights = _bernstein(_local_coordinate(kv, points, span), degree)
+    # One spline's run is v itself, so that placed points keep their spans.
+    runs = v.reshape(R, -1) if R > 1 else (v,)
+    for points, values, tables in zip(runs, out.reshape(R, -1), control):
+        span, t = place(kv, points)
+        weights = _bernstein(t, degree)
         weights[1:-1] *= binomials
-        for row, table in zip(weights, tables):
-            row *= table.take(span)
+        weights *= tables.take(span, axis=1)
         weights.sum(axis=0, out=values)
     return out
 
@@ -292,20 +324,23 @@ def basis_matrix(
     ``v`` is a 1-D float array in [-1, 1], as ``ProjectionScaler.transform``
     returns it; this is not checked.  Without ``coeffs``, returns an array
     of shape ``(len(v), basis_count)`` whose rows sum to 1; each point is
-    located by ``_locate``'s binary search, and the fit relies on these
+    placed by ``locate``'s binary search, or by the placement that ``v``
+    carries when it is ``locate``'s result, and the fit relies on these
     bits.
 
     With ``coeffs``, returns spline values, shape ``(len(v),)``, without
-    forming the dense matrix, and with points placed by ``_span_index``.
-    ``coeffs`` holds ``basis_count`` floats for one spline, or an
-    (R, basis_count) stack; then row r acts on the r-th of R equal runs of
-    ``v``.  Each value agrees with its entry of ``basis_matrix(kv, v) @
-    coeffs`` to rounding (1e-14 of max|coeffs| in the tests), not bit for
-    bit, and is a convex combination of the coefficients up to rounding.
+    forming the dense matrix, and with points placed by arithmetic on the
+    uniform breakpoints.  ``coeffs`` holds ``basis_count`` floats for one
+    spline, or an (R, basis_count) stack; then row r acts on the r-th of R
+    equal runs of ``v``.  Each value agrees with its entry of
+    ``basis_matrix(kv, v) @ coeffs`` to rounding (1e-14 of max|coeffs| in
+    the tests), not bit for bit, and is a convex combination of the
+    coefficients up to rounding.
     """
     if coeffs is None:
         return _evaluate(kv, v)
-    return _bernstein_form(kv, v, coeffs, kv._control_matrix, _span_index)
+    return _bernstein_form(kv, v, coeffs, kv._control_matrix,
+                           _place_uniformly)
 
 
 def basis_deriv_matrix(
@@ -319,13 +354,15 @@ def basis_deriv_matrix(
     differences of its value coefficients.
     Without, returns the ``(len(v), basis_count)`` dense rows, which sum to
     0, as the slopes of the J unit coefficient vectors: an entry outside a
-    function's support is exactly 0.  Points are placed by ``_locate``'s
+    function's support is exactly 0.  Points are placed by ``locate``'s
     binary search, so a degree-1 slope, which jumps at every knot, takes
-    its right limit there and its left limit at v = 1.  Requires
-    ``degree >= 1``, which ``FitConfig.validate`` enforces.
+    its right limit there and its left limit at v = 1.  For one spline, a
+    ``v`` that ``locate`` returned hands over its placement instead, with
+    the same bits.  Requires ``degree >= 1``, which ``FitConfig.validate``
+    enforces.
     """
     J, dense = kv.basis_count, coeffs is None
     if dense:
         v, coeffs = np.tile(v, J), np.eye(J)
-    slopes = _bernstein_form(kv, v, coeffs, kv._deriv_control, _locate)
+    slopes = _bernstein_form(kv, v, coeffs, kv._deriv_control, _search)
     return slopes.reshape(J, -1).T if dense else slopes

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import eppr
-from eppr import cli, data_io
+from eppr import cli, data_io, ensemble
 from eppr.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
@@ -828,6 +828,81 @@ def test_failed_write_names_the_file(tmp_path, capsys, written) -> None:
     assert main([*argv, "--out", out]) == EXIT_IO
     assert capsys.readouterr().err == (
         f"error: cannot write {full}: {os.strerror(errno.ENOSPC)}\n"
+    )
+    # Only a regular file is removed: the link and /dev/full stay, and the
+    # table goes with its failed sidecar.
+    assert full.is_symlink() and os.path.exists("/dev/full")
+    assert not (tmp_path / "t.csv").exists()
+
+
+class _FillsUp:
+    """A text file that takes ``whole`` writes, then half of the next one,
+    and then fails as a full disk does."""
+
+    def __init__(self, handle, whole: int) -> None:
+        self.handle, self.whole, self.landed = handle, whole, None
+
+    def write(self, text: str) -> int:
+        if self.whole == 0:
+            self.handle.write(text[:len(text) // 2])
+            self.handle.flush()
+            with open(self.handle.name, encoding="utf-8") as written:
+                self.landed = written.read()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.whole -= 1
+        return self.handle.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.handle.close()
+
+
+@pytest.mark.parametrize("written", ["train", "predict", "synth"])
+def test_failed_write_leaves_no_file(
+    tmp_path, capsys, monkeypatch, written
+) -> None:
+    """A write that fails partway removes the file it was writing, exit 3.
+
+    The disk fills up on the write after the header and the first
+    1,024-row block of a CSV, and on a model's one write; half of that
+    write lands first.
+    """
+    data = synth_file(tmp_path, n=1500)
+    whole = 2
+    if written == "train":
+        argv, whole = ["train", "--data", data, "--target", "y", "--B", "1"], 0
+    elif written == "predict":
+        model_path = str(tmp_path / "m.json")
+        assert main(["train", "--data", data, "--target", "y",
+                     "--out", model_path, "--B", "1"]) == EXIT_OK
+        argv = ["predict", "--model", model_path, "--data", data]
+    else:
+        argv = ["synth", "--scenario", "noise", "--n", "1500", "--p", "2"]
+    files: list = []
+
+    def fills_up(path, mode="r", **kwargs):
+        handle = open(path, mode, **kwargs)
+        if mode == "w":
+            files.append(_FillsUp(handle, whole))
+            return files[-1]
+        return handle
+
+    monkeypatch.setattr(ensemble, "open", fills_up, raising=False)
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert _one_error_line(err)
+    assert err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    # One file was opened, and it held more than the first block when the
+    # write failed.
+    assert len(files) == 1
+    assert files[0].landed.count("\n") > (1025 if whole else 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["single_index.csv", "single_index.csv.meta.txt"]
+        + (["m.json"] if written == "predict" else [])
     )
 
 

@@ -1,5 +1,7 @@
 """Projection scaling, ridge evaluation, and the alternating fit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,124 @@ class TestStartFallbacks:
         candidates = self.fit(monkeypatch, delta=lambda theta: -theta)
         halvings = singleindex._MAX_HALVINGS
         assert len(candidates) == singleindex._N_STARTS * halvings
+
+
+class TestFirstOrderRise:
+    """Scripted trial SSEs drive the step-halving of one start.
+
+    The start's own solve is real.  Trial k of the first Gauss-Newton step
+    reports the start's SSE plus ``rises[k]`` times it (``None``: a
+    degenerate projection); a rise of -1e-9 is a success too small to try
+    a second step.  The real fits give each trial its direction, spline
+    and residual.
+    """
+
+    HALVING = [0.04 / 2**k for k in range(11)]
+
+    @staticmethod
+    def run(monkeypatch, degree: int, rises: list):
+        """Fit one start; return the trial directions, the number of
+        Gauss-Newton steps, the SSE and ridge, and the start's SSE."""
+        real_solve = singleindex._solve_at_theta
+        real_delta = singleindex.gauss_newton_delta
+        thetas: list = []
+        deltas: list = []
+
+        def solve(X_A, residuals, kv, theta):
+            state = real_solve(X_A, residuals, kv, theta)
+            thetas.append(theta)
+            if len(thetas) == 1:
+                return state
+            rise = rises[len(thetas) - 2]
+            if rise is None:
+                return None
+            scaler, v, sol = state
+            return scaler, v, replace(sol, sse=base * (1.0 + rise))
+
+        def delta(residual, jacobian):
+            deltas.append(None)
+            return real_delta(residual, jacobian)
+
+        monkeypatch.setattr(singleindex, "_solve_at_theta", solve)
+        monkeypatch.setattr(singleindex, "gauss_newton_delta", delta)
+        rng = np.random.default_rng(30)
+        X = rng.uniform(-1.0, 1.0, (150, 3))
+        y = np.tanh(2.0 * X[:, 0] - X[:, 2]) + 0.05 * rng.standard_normal(150)
+        theta0 = np.array([0.6, 0.8, 0.0])
+        kv = make_uniform_knots(8, degree)
+        base = real_solve(X, y, kv, theta0)[2].sse
+        sse, ridge = singleindex._fit_from_start(X, y, kv, theta0,
+                                                 np.arange(3))
+        return thetas[1:], len(deltas), sse, ridge, base
+
+    @pytest.mark.parametrize("rises, trials", [
+        # The full step overshoots; the second and third halve in turn.
+        ([0.3, 0.01, 0.005] + HALVING[3:], 3),
+        # Every trial rises half as much as the one before.
+        (HALVING, 2),
+        # A degenerate trial has no rise, so the ratio after it is the
+        # next trial's, not 0.02 / 0.04.
+        ([0.04, None, 0.02, 0.01] + HALVING[4:], 4),
+    ])
+    def test_proportional_rises_end_the_start(
+        self, monkeypatch, rises, trials
+    ) -> None:
+        thetas, deltas, sse, ridge, base = self.run(monkeypatch, 3, rises)
+        assert len(thetas) == trials
+        # The step ended as if exhausted: no second step, the start kept.
+        assert (deltas, sse) == (1, base)
+        assert ridge.theta.tolist() == [0.6, 0.8, 0.0]
+
+    @pytest.mark.parametrize("ratios", [
+        [0.3, 0.7, 0.3, 0.7, 0.3],
+        [0.39, 0.61, 0.39, 0.61, 0.2],
+        [1.0, 0.1, 0.65, 0.35, 2.0],
+    ])
+    def test_other_ratios_keep_a_late_success(
+        self, monkeypatch, ratios
+    ) -> None:
+        rises = [0.04]
+        for ratio in ratios:
+            rises.append(rises[-1] * ratio)
+        rises += [-1e-9] + self.HALVING[7:]
+        thetas, deltas, sse, ridge, base = self.run(monkeypatch, 3, rises)
+        assert len(thetas) == 7
+        assert sse == base * (1.0 - 1e-9)
+        assert ridge.theta.tobytes() == thetas[6].tobytes()
+
+    def test_degree_one_never_ends_early(self, monkeypatch) -> None:
+        thetas, deltas, sse, ridge, base = self.run(
+            monkeypatch, 1, self.HALVING
+        )
+        assert len(thetas) == singleindex._MAX_HALVINGS + 1
+        assert (deltas, sse) == (1, base)
+
+    def test_slopes_take_the_solved_placement(self, monkeypatch) -> None:
+        """Each slope evaluation gets the points its solve placed."""
+        from eppr.spline import LocatedPoints
+
+        real_deriv = singleindex.basis_deriv_matrix
+        placed: list = []
+
+        def deriv(kv, v, coeffs):
+            placed.append(isinstance(v, LocatedPoints)
+                          and v.span is not None)
+            return real_deriv(kv, v, coeffs)
+
+        monkeypatch.setattr(singleindex, "basis_deriv_matrix", deriv)
+        # The first step halves the SSE; the second step's trials rise in
+        # proportion, so the start has two steps and ends.
+        rises = [-0.5] + [h - 0.5 for h in self.HALVING]
+        thetas, deltas, _, _, _ = self.run(monkeypatch, 3, rises)
+        assert (len(thetas), deltas) == (3, 2)
+        assert placed == [True, True]
+
+    def test_degree_one_keeps_a_late_success(self, monkeypatch) -> None:
+        rises = self.HALVING[:6] + [-1e-9] + self.HALVING[7:]
+        thetas, deltas, sse, ridge, base = self.run(monkeypatch, 1, rises)
+        assert len(thetas) == 7
+        assert sse == base * (1.0 - 1e-9)
+        assert ridge.theta.tobytes() == thetas[6].tobytes()
 
 
 def reference_transform(scaler: ProjectionScaler, z):

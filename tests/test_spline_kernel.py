@@ -7,12 +7,13 @@ sweeps every column at every degree and is kept here only as an oracle.
 import numpy as np
 import pytest
 
-from eppr import singleindex
+from eppr import singleindex, spline
 from eppr.singleindex import ProjectionScaler, Ridge, eval_ridge_batch
 from eppr.spline import (
     KnotVector,
     basis_deriv_matrix,
     basis_matrix,
+    locate,
     make_uniform_knots,
 )
 
@@ -313,3 +314,50 @@ def test_degree_one_slope_takes_the_right_limit() -> None:
             kv, np.array([1.0, np.nextafter(1.0, 0.0)]), coeffs
         )
         assert ends[0] == ends[1]
+
+
+@pytest.mark.parametrize("J, degree", [(6, 1), (7, 3), (9, 2), (12, 5),
+                                       (30, 3)])
+def test_located_points_give_the_searched_bits(J: int, degree: int) -> None:
+    """Points that carry their placement give the bits of a new search.
+
+    The fit places its projections once, for the dense value rows, and the
+    slopes at the same points reuse that placement.  ``v`` holds -1, 1,
+    every interior knot and its neighbours.
+    """
+    kv = make_uniform_knots(J, degree)
+    v = probe_points(kv, draws=2_000)
+    located = locate(kv, v)
+    assert located.tobytes() == v.tobytes()
+    assert np.array_equal(located.span, reference_spans(kv, v) - degree)
+    coeffs = np.random.default_rng(J).normal(size=J)
+    # The value rows first, as in the fit: they must leave the placement
+    # as they found it for the slopes.
+    assert basis_matrix(kv, located).tobytes() == basis_matrix(kv, v).tobytes()
+    assert (basis_deriv_matrix(kv, located, coeffs).tobytes()
+            == basis_deriv_matrix(kv, v, coeffs).tobytes())
+    # The dense rows and a derived array search again, with the same bits.
+    assert (basis_deriv_matrix(kv, located).tobytes()
+            == basis_deriv_matrix(kv, v).tobytes())
+    assert (basis_deriv_matrix(kv, located[::-1], coeffs).tobytes()
+            == basis_deriv_matrix(kv, v[::-1], coeffs).tobytes())
+
+
+def test_located_points_skip_the_search(monkeypatch) -> None:
+    kv = make_uniform_knots(7, 3)
+    v = probe_points(kv, draws=100)
+    located = locate(kv, v)
+    coeffs = np.arange(7.0)
+    searched: list = []
+
+    def counting(kv, points):
+        searched.append(points.size)
+        return locate(kv, points)
+
+    monkeypatch.setattr(spline, "locate", counting)
+    basis_matrix(kv, located)
+    basis_deriv_matrix(kv, located, coeffs)
+    assert searched == []
+    basis_matrix(kv, v)
+    basis_deriv_matrix(kv, v, coeffs)
+    assert searched == [v.size, v.size]
