@@ -31,6 +31,7 @@ EXIT_NUMERIC = 4
 _TWO_GAUSSIAN_DELTA = 1.2815515655446004
 
 SCENARIOS = ("single_index", "additive3", "ppr3", "noise", "two_gaussian")
+TASKS = ("regression", "classification")
 
 
 def metric_rpe(
@@ -39,15 +40,20 @@ def metric_rpe(
     """Relative prediction error against the train-mean predictor.
 
     sum (pred - y)^2 / sum (train mean - y)^2; an exactly constant test
-    response leaves the denominator zero and the metric undefined.
+    response leaves the denominator zero and the metric undefined, and so
+    does a sum that overflows float64.
     """
     predictions = np.asarray(predictions, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
-    num = float(np.sum((predictions - y_test) ** 2))
-    den = float(np.sum((y_train_mean - y_test) ** 2))
+    with np.errstate(over="ignore"):
+        num = float(np.sum((predictions - y_test) ** 2))
+        den = float(np.sum((y_train_mean - y_test) ** 2))
     if den == 0.0:
         raise NumericError("relative prediction error undefined: "
                            "constant test response equal to the train mean")
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise NumericError("relative prediction error undefined: "
+                           "its sums overflow float64")
     return num / den
 
 
@@ -78,6 +84,7 @@ def generate_scenario(
     The order of a scenario's draws from ``rng`` is part of its table: the
     same seed must give the same bytes, so ``single_index`` draws its
     direction before X and ``ppr3`` draws its three directions after X.
+    A noise level whose response overflows float64 is refused.
     """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; pick from {SCENARIOS}")
@@ -141,7 +148,11 @@ def generate_scenario(
     doc = formula + "x ~ Uniform(-1, 1)^p\n" + "".join(
         f"{name} = {theta.tolist()!r}\n" for name, theta in thetas.items()
     )
-    return X, signal + noise * rng.standard_normal(n), doc
+    with np.errstate(over="ignore"):
+        y = signal + noise * rng.standard_normal(n)
+    if not np.all(np.isfinite(y)):
+        raise ConfigError(f"noise={noise} makes the response overflow float64")
+    return X, y, doc
 
 
 # Rows formatted per write: enough to amortize the per-block numpy and
@@ -212,9 +223,9 @@ class BenchmarkReport:
 
     def render(self) -> str:
         name = self.metric_name
-        with_base = self.baseline_values is not None
+        bases = self.baseline_values
         header = f"{'repeat':>6}  {'k_mean':>7}  {name:>12}"
-        if with_base:
+        if bases is not None:
             header += f"  {'baseline_' + name:>16}"
         lines = [
             "ensemble projection pursuit benchmark",
@@ -236,28 +247,19 @@ class BenchmarkReport:
         }
         for key in sorted(self.config_snapshot):
             kv[f"config_{key}"] = self.config_snapshot[key]
-        # One pass over the repeats: each writes its table row and its
-        # [machine] values, "failed" where a metric is undefined.  The
-        # baseline's values follow the summary, so they wait in base_kv.
-        base_kv = {}
-        bases = self.baseline_values or [None] * len(self.values)
-        for i, (value, error, k_mean, base) in enumerate(
-            zip(self.values, self.errors, self.k_means, bases), 1
+        # One pass writes each repeat's table row and [machine] value.
+        for i, (value, error, k_mean) in enumerate(
+            zip(self.values, self.errors, self.k_means), 1
         ):
             if value is None:
                 row = f"{i:>6}  {'-':>7}  {'failed':>12}"
-                base_cell, note = "-", f"   ({error})"
             else:
                 row = f"{i:>6}  {k_mean:>7.2f}  {value:>12.6f}"
-                base_cell = "-" if base is None else f"{base:.6f}"
-                note = ""
-            if with_base:
-                row += f"  {base_cell:>16}"
-                base_kv[f"baseline_{name}_repeat_{i}"] = (
-                    "failed" if base is None else repr(base)
-                )
-            lines.append(row + note)
-            kv[f"{name}_repeat_{i}"] = "failed" if value is None else repr(value)
+            if bases is not None:
+                base = None if value is None else bases[i - 1]
+                row += f"  {'-' if base is None else f'{base:.6f}':>16}"
+            lines.append(row if value is not None else f"{row}   ({error})")
+            kv[f"{name}_repeat_{i}"] = value
         lines.append("")
 
         good = self.successful()
@@ -268,24 +270,28 @@ class BenchmarkReport:
                 f"summary: {name} mean {mean:.6f}  std {std:.6f}"
                 f"  over {len(good)} repeat(s)"
             )
-            kv[f"{name}_mean"] = repr(mean)
-            kv[f"{name}_std"] = repr(std)
+            kv[f"{name}_mean"] = mean
+            kv[f"{name}_std"] = std
         else:
             lines.append("summary: no successful repeats")
-        kv.update(base_kv)
-        base_good = [v for v in self.baseline_values or [] if v is not None]
+        # The baseline's [machine] values follow the summary.
+        for i, base in enumerate(bases or [], 1):
+            kv[f"baseline_{name}_repeat_{i}"] = base
+        base_good = [v for v in bases or [] if v is not None]
         if base_good:
             base_mean = float(np.mean(base_good))
             lines.append(
                 f"baseline: {name} mean {base_mean:.6f}  std "
                 f"{float(np.std(base_good)):.6f}"
             )
-            kv[f"baseline_{name}_mean"] = repr(base_mean)
-        lines.append("")
-        lines.append("[machine]")
-        lines.extend(f"{key}={value}" for key, value in kv.items())
-        lines.append("")
-        return "\n".join(lines)
+            kv[f"baseline_{name}_mean"] = base_mean
+        # Every [machine] value is its text (a float's repr), or "failed"
+        # where the metric is undefined.
+        lines += ["", "[machine]"] + [
+            f"{key}={'failed' if value is None else value}"
+            for key, value in kv.items()
+        ]
+        return "\n".join(lines + [""])
 
 
 def _linear_baseline(
@@ -326,7 +332,7 @@ def run_benchmark(
     its reason and the run goes on.  ``workers`` is passed on to
     ``ensemble.fit``.
     """
-    if task not in ("regression", "classification"):
+    if task not in TASKS:
         raise ConfigError("task must be regression or classification")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
@@ -386,7 +392,7 @@ def _fit_flags(args: argparse.Namespace) -> dict:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--variant", choices=("aga", "oga", "rga"))
+    parser.add_argument("--variant", choices=ensemble.CHOICES["variant"])
     parser.add_argument("--q", type=int, help="bagged subset size")
     parser.add_argument("--ell", type=int, help="candidate subsets per step")
     parser.add_argument("--B", type=int, help="ensemble size")
@@ -395,9 +401,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--J", type=int, help="spline basis dimension")
     parser.add_argument("--degree", type=int, help="spline degree")
     parser.add_argument("--nu", type=float, help="BIC penalty exponent")
-    parser.add_argument("--stopping", choices=("bic", "fixed_k"))
+    parser.add_argument("--stopping", choices=ensemble.CHOICES["stopping"])
     parser.add_argument("--truncate", dest="truncation_mode",
-                        choices=("off", "ln_n"))
+                        choices=ensemble.CHOICES["truncation_mode"])
 
 
 def _check_writable(path: str) -> None:
@@ -523,8 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--data", required=True)
     bench.add_argument("--target", required=True)
-    bench.add_argument("--task", choices=("regression", "classification"),
-                       default="regression")
+    bench.add_argument("--task", choices=TASKS, default="regression")
     bench.add_argument("--repeats", type=int, default=5)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--baseline", action="store_true",

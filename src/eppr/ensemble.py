@@ -25,9 +25,9 @@ from .spline import KnotVector, make_uniform_knots
 
 _FORMAT_TAG = "eppr-model-v1"
 
-_VARIANTS = ("aga", "oga", "rga")
-_STOPPING = ("bic", "fixed_k")
-_TRUNCATION = ("off", "ln_n")
+# The values each choice field of FitConfig takes; the CLI offers the same.
+CHOICES = {"variant": ("aga", "oga", "rga"), "stopping": ("bic", "fixed_k"),
+           "truncation_mode": ("off", "ln_n")}
 
 # Relative allowance for rounding in ``_output_bound``.
 _ROUNDING_SLACK = 1e-9
@@ -56,22 +56,17 @@ class FitConfig:
     seed: int = 0
 
     def validate(self, p: int | None = None) -> None:
-        if self.variant not in _VARIANTS:
-            raise ConfigError(f"variant must be one of {_VARIANTS}")
-        if self.stopping not in _STOPPING:
-            raise ConfigError(f"stopping must be one of {_STOPPING}")
-        if self.truncation_mode not in _TRUNCATION:
-            raise ConfigError(f"truncation mode must be one of {_TRUNCATION}")
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in choices:
+                what = name.replace("_", " ")
+                raise ConfigError(f"{what} must be one of {choices}")
         if self.q < 1:
             raise ConfigError(f"q must be >= 1, got {self.q}")
         if p is not None and self.q > p:
             raise ConfigError(f"q={self.q} exceeds predictor count p={p}")
-        if self.ell < 1:
-            raise ConfigError(f"ell must be >= 1, got {self.ell}")
-        if self.B < 1:
-            raise ConfigError(f"B must be >= 1, got {self.B}")
-        if self.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
+        for name in ("ell", "B", "k_max"):
+            if (value := getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if not 1 <= self.degree <= _MAX_DEGREE:
             raise ConfigError(
                 f"degree must be in 1..{_MAX_DEGREE}, got {self.degree}"
@@ -197,7 +192,8 @@ def fit(
     )
 
     scaling = ColumnScaling.fit(X)
-    with np.errstate(over="ignore"):
+    # Cells that overflow with both signs sum to inf - inf, which is NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
         wide = np.flatnonzero(~np.isfinite(scaling.hi - scaling.lo))
         centred = y - np.mean(y)
         total_ss = float(centred @ centred)
@@ -415,7 +411,7 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
         raise ConfigError(f"unrecognized model format {doc.get('format')!r}")
     _exact_keys(doc, _MODEL_KEYS, "model")
     config = FitConfig(**_exact_keys(doc["config"], _CONFIG_KEYS, "config"))
-    for name in ("q", "ell", "B", "k_max", "J", "degree", "seed"):
+    for name in (f.name for f in fields(FitConfig) if f.type == "int"):
         _number(getattr(config, name), f"config {name}", integer=True)
     _number(config.nu, "config nu")
     config.validate()

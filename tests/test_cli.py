@@ -52,6 +52,17 @@ class TestMetricRpe:
         with pytest.raises(NumericError):
             metric_rpe(np.array([1.0, 3.0]), y, 2.0)
 
+    @pytest.mark.parametrize("predictions, y", [
+        ([1e200, 0.0], [0.0, 1.0]),  # the numerator overflows
+        ([1e200, 0.0], [1e200, 0.0]),  # the denominator overflows
+    ])
+    def test_sums_that_overflow(self, predictions, y) -> None:
+        """Undefined like a zero denominator, and without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="sums overflow float64"):
+                metric_rpe(np.array(predictions), np.array(y), 0.5)
+
 
 class TestMetricMr:
     def test_hand_count(self) -> None:
@@ -246,6 +257,24 @@ class TestGenerateScenario:
         with pytest.raises(ConfigError):
             generate_scenario("ppr3", 10, 9, noise, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("scenario", ["single_index", "additive3", "ppr3"])
+    def test_noise_whose_response_overflows(self, scenario) -> None:
+        """Refused with one error, and without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=(
+                r"^noise=1e\+308 makes the response overflow float64$"
+            )):
+                generate_scenario(scenario, 200, 9, 1e308,
+                                  np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n, p", [(0, 3), (3, 0), (-1, -1)])
+    def test_needs_a_row_and_a_predictor(self, n, p) -> None:
+        with pytest.raises(ConfigError, match=(
+            f"^need n >= 1 and p >= 1, got n={n}, p={p}$"
+        )):
+            generate_scenario("noise", n, p, 0.0, np.random.default_rng(0))
+
 
 class TestSynthCommand:
     def test_writes_csv_and_sidecar(self, tmp_path, capsys) -> None:
@@ -285,6 +314,20 @@ class TestSynthCommand:
             main(["synth", "--scenario", "mystery", "--n", "10",
                   "--p", "2", "--out", str(tmp_path / "x.csv")])
         assert excinfo.value.code == EXIT_USAGE
+
+    def test_overflowing_noise_writes_nothing(self, tmp_path, capfd) -> None:
+        out = tmp_path / "t.csv"
+        capfd.readouterr()
+        code = main(["synth", "--scenario", "ppr3", "--n", "200", "--p", "9",
+                     "--noise", "1e308", "--out", str(out)])
+        captured = capfd.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == (
+            "error: noise=1e+308 makes the response overflow float64\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+        assert not (tmp_path / "t.csv.meta.txt").exists()
 
 
 def reference_scenario_csv(path, X, y) -> None:
@@ -549,6 +592,32 @@ class TestBenchmarkCommand:
         )
         assert report.successful() == []
 
+    def test_overflowing_baseline_reads_failed(self, tmp_path, capfd) -> None:
+        """A test row far outside the training range overflows the linear
+        baseline's squared error: its value reads ``failed``, and no
+        warning reaches stderr."""
+        data = Path(synth_file(tmp_path, scenario="ppr3", n=120, p=9))
+        lines = data.read_text().splitlines()
+        row = 1 + np.random.default_rng([0, 0, 0]).permutation(120)[-1]
+        lines[row] = ",".join(["1e300"] + lines[row].split(",")[1:])
+        data.write_text("\n".join(lines) + "\n")
+        # Repeat 1 of seed 0 draws this partition: the far row is a test row.
+        _, test = data_io.partition(load_csv(str(data), "y"),
+                                    np.random.default_rng([0, 0, 0]))
+        assert 1e300 in test.X[:, 0]
+        capfd.readouterr()
+        code = main(["benchmark", "--data", str(data), "--target", "y",
+                     "--repeats", "1", "--B", "1", "--kmax", "2",
+                     "--baseline"])
+        out, err = capfd.readouterr()
+        assert code == EXIT_OK
+        assert err.startswith("repeat 1/1: ") and len(err.splitlines()) == 1
+        row_1 = [line for line in out.splitlines() if line.startswith("     1")]
+        assert row_1[0].endswith("                 -")
+        machine = out.split("[machine]\n", 1)[1]
+        assert machine.endswith("rpe_std=0.0\nbaseline_rpe_repeat_1=failed\n")
+        assert "baseline:" not in out
+
     def test_run_benchmark_rejects_bad_args(self) -> None:
         data = Dataset(
             X=np.zeros((10, 2)), y=np.zeros(10),
@@ -625,6 +694,25 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["transmogrify"])
         assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_directory_input_is_file_error(
+        self, tmp_path, capsys, command
+    ) -> None:
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--data", str(folder), "--target", "y"]
+        else:
+            argv = ["predict", "--model", str(folder),
+                    "--data", synth_file(tmp_path)]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert _one_error_line(err)
+        assert err.startswith(f"error: cannot read {folder}: ")
+        assert not out.exists()
 
     def test_predict_model_file_missing(self, tmp_path, capsys) -> None:
         data = synth_file(tmp_path)
@@ -1314,7 +1402,9 @@ def _overflowing_column(lines: list[str], column: int, cells) -> list[str]:
     return [",".join(row) for row in rows]
 
 
-@pytest.mark.parametrize("case", ["x1_range", "y_mean", "y_spread"])
+@pytest.mark.parametrize(
+    "case", ["x1_range", "y_mean", "y_spread", "y_mixed"]
+)
 def test_train_refuses_ranges_that_overflow(tmp_path, capfd, case) -> None:
     """One error line and exit 4: no warning, no LAPACK message, no model."""
     data = tmp_path / "wide.csv"
@@ -1324,8 +1414,10 @@ def test_train_refuses_ranges_that_overflow(tmp_path, capfd, case) -> None:
         lines = _overflowing_column(lines, 0, ["-1e308", "1e308"])
     elif case == "y_mean":
         lines = _overflowing_column(lines, -1, ["1.5e308"] * 120)
-    else:
+    elif case == "y_spread":
         lines = _overflowing_column(lines, -1, ["1e200", "-1e200"] * 60)
+    else:  # the sum of each sign overflows, and inf - inf is NaN
+        lines = _overflowing_column(lines, -1, ["1.5e308", "-1.5e308"] * 60)
     data.write_text("\n".join(lines) + "\n")
     out = tmp_path / "m.json"
     capfd.readouterr()

@@ -74,6 +74,13 @@ class TestDefaultConfig:
         assert default_config(10, 2).J == 6
         assert default_config(10 ** 9, 2).J == 30
 
+    @pytest.mark.parametrize("n, p", [(0, 3), (3, 0), (-1, -1)])
+    def test_needs_a_row_and_a_predictor(self, n, p) -> None:
+        with pytest.raises(ConfigError, match=(
+            f"^need n >= 1 and p >= 1, got n={n}, p={p}$"
+        )):
+            default_config(n, p)
+
     def test_validate_rejects_bad_values(self) -> None:
         with pytest.raises(ConfigError):
             small_config(variant="sga").validate()
