@@ -9,7 +9,6 @@ byte-identical reports.  Timing is logged to stderr instead.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
@@ -197,8 +196,9 @@ class BenchmarkReport:
     """Everything a benchmark run produced, one list entry per repeat.
 
     ``values`` holds each repeat's metric, or ``None`` where it is
-    undefined, with the reason at the same index of ``errors``;
-    ``baseline_values`` is ``None`` unless the linear baseline was scored.
+    undefined; ``baseline_values`` is ``None`` unless the linear baseline
+    was scored.  ``errors`` holds, at the same index, the reason the metric
+    is undefined, else the reason the baseline is, else ``None``.
     Wall-clock time is never stored here, so identical runs yield
     byte-identical reports.
     """
@@ -258,7 +258,7 @@ class BenchmarkReport:
             if bases is not None:
                 base = None if value is None else bases[i - 1]
                 row += f"  {'-' if base is None else f'{base:.6f}':>16}"
-            lines.append(row if value is not None else f"{row}   ({error})")
+            lines.append(row if error is None else f"{row}   ({error})")
             kv[f"{name}_repeat_{i}"] = value
         lines.append("")
 
@@ -370,11 +370,13 @@ def run_benchmark(
         y_train_mean = float(np.mean(train.y))
         value, error = _score(task, predictions, test.y, y_train_mean)
         report.values.append(value)
-        report.errors.append(error)
         if baseline:
             base_pred = _linear_baseline(train.X, train.y, test.X)
-            base, _ = _score(task, base_pred, test.y, y_train_mean)
+            base, base_error = _score(task, base_pred, test.y, y_train_mean)
             report.baseline_values.append(base)
+            if error is None and base_error is not None:
+                error = f"baseline failed: {base_error}"
+        report.errors.append(error)
     return report
 
 
@@ -549,26 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _StderrNotes(logging.Handler):
-    """Prints eppr's log records, such as dropped CSV rows, to stderr.
-
-    ``sys.stderr`` is looked up per record, so output follows redirection.
-    """
-
-    def emit(self, record: logging.LogRecord) -> None:
-        print(f"note: {record.getMessage()}", file=sys.stderr)
-
-
-def _route_log_to_stderr() -> None:
-    """Install the stderr handler on the ``eppr`` logger once per process."""
-    log = logging.getLogger("eppr")
-    if not any(isinstance(h, _StderrNotes) for h in log.handlers):
-        log.addHandler(_StderrNotes())
-        log.setLevel(logging.INFO)
-
-
 def main(argv: list[str] | None = None) -> int:
-    _route_log_to_stderr()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import collections
 import csv
 import io
-import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -14,8 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError
-
-logger = logging.getLogger(__name__)
 
 # Training rows are capped so large files keep a large held-out share.
 _TRAIN_CAP = 1000
@@ -113,24 +111,6 @@ def _chosen_cells(
     return np.asarray(kept, dtype=float).reshape(len(kept), len(cols))
 
 
-def _keep_finite(
-    path: str, matrix: np.ndarray, n_rows: int
-) -> tuple[np.ndarray, int]:
-    """Rows of ``matrix`` with every cell finite and the dropped count.
-
-    ``n_rows`` counts the body rows ``matrix`` came from.  A drop is noted
-    when rows remain; with none left the caller raises instead.
-    """
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        matrix = matrix[finite]
-    dropped = n_rows - matrix.shape[0]
-    if matrix.shape[0] and dropped:
-        logger.info("dropped %d row(s) of %s with missing or bad cells",
-                    dropped, path)
-    return matrix, dropped
-
-
 def _no_finite_row(
     path: str, header: list[str], cols: list[int], matrix: np.ndarray
 ) -> DataError:
@@ -198,9 +178,10 @@ def _load_columns(
     column whose name the header repeats is refused.  A UTF-8 byte order
     mark before the header is not part of the first name.  Blank lines
     are skipped, and a row is dropped when its width differs from the
-    header's or one of its chosen cells is not a finite number.  numpy
-    parses the body piece by piece; a piece it rejects goes through the
-    per-row rules alone, and the next piece goes back to numpy.  A
+    header's or one of its chosen cells is not a finite number.  With
+    rows left, a drop is noted on stderr; with none, the file is refused.
+    numpy parses the body piece by piece; a piece it rejects goes through
+    the per-row rules alone, and the next piece goes back to numpy.  A
     rejected piece runs on to the end of the file when one of its cells
     holds a quote: a piece holds an even number of quotes, so unless a
     cell kept one, each quote opened or closed a quoted cell and the
@@ -231,7 +212,8 @@ def _load_columns(
                     parts.append(block[:, cols])
                     n_rows += block.shape[0]
             full = np.concatenate(parts)
-            matrix, dropped = _keep_finite(path, full, n_rows)
+            finite = np.isfinite(full).all(axis=1)
+            matrix = full if finite.all() else full[finite]
             if not matrix.shape[0]:
                 raise _no_finite_row(path, header, cols, full)
     except FileNotFoundError:
@@ -242,6 +224,10 @@ def _load_columns(
         raise DataError("not_utf8", f"{path} is not UTF-8 text")
     except csv.Error as exc:
         raise DataError("bad_csv", f"cannot read {path} as CSV: {exc}")
+    dropped = n_rows - matrix.shape[0]
+    if dropped:
+        print(f"note: dropped {dropped} row(s) of {path} with missing or "
+              "bad cells", file=sys.stderr)
     return header, matrix, dropped
 
 

@@ -492,6 +492,31 @@ class TestTrainPredict:
             f"note: dropped 1 row(s) of {rows} with missing or bad cells"
         ]
 
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_dropped_rows_noted_once(self, tmp_path, capfd, command) -> None:
+        """An empty and an ``NA`` cell drop two rows: one note names both,
+        and the clean table gives no note."""
+        clean = synth_file(tmp_path, n=30)
+        lines = Path(clean).read_text().splitlines()
+        dirty = tmp_path / "dirty.csv"
+        lines[2] = ",".join([""] + lines[2].split(",")[1:])
+        lines[9] = ",".join(lines[9].split(",")[:-1] + ["NA"])
+        dirty.write_text("\n".join(lines) + "\n")
+        flags = {"train": ["--out", str(tmp_path / "model.json")],
+                 "benchmark": ["--repeats", "1"]}[command]
+        for data, notes in [
+            (dirty, [f"note: dropped 2 row(s) of {dirty} with missing or "
+                     "bad cells"]),
+            (clean, []),
+        ]:
+            capfd.readouterr()
+            code = main([command, "--data", str(data), "--target", "y",
+                         "--B", "1", "--kmax", "1", "--stopping", "fixed_k",
+                         *flags])
+            assert code == EXIT_OK
+            err = capfd.readouterr().err.splitlines()
+            assert [line for line in err if line.startswith("note:")] == notes
+
     def test_target_by_position(self, tmp_path) -> None:
         data = synth_file(tmp_path, p=2)
         model_path = tmp_path / "model.json"
@@ -594,8 +619,8 @@ class TestBenchmarkCommand:
 
     def test_overflowing_baseline_reads_failed(self, tmp_path, capfd) -> None:
         """A test row far outside the training range overflows the linear
-        baseline's squared error: its value reads ``failed``, and no
-        warning reaches stderr."""
+        baseline's squared error: its value reads ``failed``, its row ends
+        in the reason, and no warning reaches stderr."""
         data = Path(synth_file(tmp_path, scenario="ppr3", n=120, p=9))
         lines = data.read_text().splitlines()
         row = 1 + np.random.default_rng([0, 0, 0]).permutation(120)[-1]
@@ -613,7 +638,10 @@ class TestBenchmarkCommand:
         assert code == EXIT_OK
         assert err.startswith("repeat 1/1: ") and len(err.splitlines()) == 1
         row_1 = [line for line in out.splitlines() if line.startswith("     1")]
-        assert row_1[0].endswith("                 -")
+        assert row_1[0].endswith(
+            "                 -   (baseline failed: relative prediction "
+            "error undefined: its sums overflow float64)"
+        )
         machine = out.split("[machine]\n", 1)[1]
         assert machine.endswith("rpe_std=0.0\nbaseline_rpe_repeat_1=failed\n")
         assert "baseline:" not in out

@@ -300,15 +300,16 @@ READERS = {
 @pytest.mark.parametrize("reader", sorted(READERS))
 class TestSharedReaderRules:
     def test_ragged_row_dropped_and_counted(
-        self, tmp_path, caplog, reader
+        self, tmp_path, capsys, reader
     ) -> None:
         path = write_csv(
             tmp_path / "d.csv", "a,b,y\n1,2,3\n4,5\n6,7,8,9\n10,11,12\n"
         )
-        with caplog.at_level("INFO", logger="eppr.data_io"):
-            X = READERS[reader](path)
+        X = READERS[reader](path)
         np.testing.assert_array_equal(X, [[1, 2], [10, 11]])
-        assert "dropped 2 row(s)" in caplog.text
+        assert capsys.readouterr().err.splitlines() == [
+            f"note: dropped 2 row(s) of {path} with missing or bad cells"
+        ]
 
     def test_never_numeric_column_rejected(self, tmp_path, reader) -> None:
         path = write_csv(
@@ -375,15 +376,14 @@ CORPUS_READERS = {
 }
 
 
-def _outcome(read, caplog):
-    """(result, notes, error code and text) of one read."""
-    caplog.clear()
-    with caplog.at_level("INFO", logger="eppr.data_io"):
-        try:
-            result, error = read(), None
-        except DataError as exc:
-            result, error = None, (exc.code, str(exc))
-    return result, [r.getMessage() for r in caplog.records], error
+def _outcome(read, capsys):
+    """(result, stderr notes, error code and text) of one read."""
+    capsys.readouterr()
+    try:
+        result, error = read(), None
+    except DataError as exc:
+        result, error = None, (exc.code, str(exc))
+    return result, capsys.readouterr().err.splitlines(), error
 
 
 def _per_row(monkeypatch, path, choose):
@@ -399,14 +399,14 @@ def _per_row(monkeypatch, path, choose):
 @pytest.mark.parametrize("reader", sorted(CORPUS_READERS))
 @pytest.mark.parametrize("case", sorted(READER_CORPUS))
 def test_block_parse_matches_per_row_rules(
-    tmp_path, caplog, monkeypatch, reader, case, piece_chars
+    tmp_path, capsys, monkeypatch, reader, case, piece_chars
 ) -> None:
     monkeypatch.setattr(data_io, "_PIECE_CHARS", piece_chars)
     path = write_csv(tmp_path / "d.csv", READER_CORPUS[case])
     read, choose = CORPUS_READERS[reader]
-    got, got_notes, got_error = _outcome(lambda: read(path), caplog)
+    got, got_notes, got_error = _outcome(lambda: read(path), capsys)
     ref, ref_notes, ref_error = _outcome(
-        lambda: _per_row(monkeypatch, path, choose), caplog
+        lambda: _per_row(monkeypatch, path, choose), capsys
     )
     assert got_error == ref_error
     assert got_notes == ref_notes
