@@ -214,15 +214,11 @@ class BenchmarkReport:
     k_means: list[float] = field(default_factory=list)
     baseline_values: list[float | None] | None = None
 
-    @property
-    def metric_name(self) -> str:
-        return "rpe" if self.task == "regression" else "mr"
-
     def successful(self) -> list[float]:
         return [v for v in self.values if v is not None]
 
     def render(self) -> str:
-        name = self.metric_name
+        name = "rpe" if self.task == "regression" else "mr"
         bases = self.baseline_values
         header = f"{'repeat':>6}  {'k_mean':>7}  {name:>12}"
         if bases is not None:
@@ -421,7 +417,7 @@ def _check_writable(path: str) -> None:
         reason = "permission denied"
     else:
         return
-    raise DataError("missing_file", f"cannot write {path}: {reason}")
+    raise DataError(f"cannot write {path}: {reason}")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -453,8 +449,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     )
     X = load_feature_matrix(args.data, feature_names)
     if X.shape[1] != model.p:
-        raise DataError("missing_target",
-                        "prediction file lacks the model's feature columns")
+        raise DataError("prediction file lacks the model's "
+                        "feature columns")
     predictions = model.predict(X)
     _write_csv(args.out, ["prediction"], predictions)
     print(f"{predictions.shape[0]} prediction(s) written to {args.out}")

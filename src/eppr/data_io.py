@@ -127,10 +127,9 @@ def _no_finite_row(
                      for j, ok in zip(cols, seen) if not ok]
     if matrix.shape[0] and never_numeric:
         return DataError(
-            "non_numeric_column",
-            f"column(s) never numeric: {', '.join(never_numeric)}",
+            f"column(s) never numeric: {', '.join(never_numeric)}"
         )
-    return DataError("no_rows", f"{path} has no usable data rows")
+    return DataError(f"{path} has no usable data rows")
 
 
 def _pieces(handle):
@@ -192,13 +191,13 @@ def _load_columns(
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             header = next(csv.reader(handle), None)
             if header is None:
-                raise DataError("no_rows", f"{path} is empty")
+                raise DataError(f"{path} is empty")
             header = [name.strip() for name in header]
             cols, counts = choose(header), collections.Counter(header)
             for j in cols:
                 if counts[header[j]] > 1:
-                    raise DataError("repeated_column", f"{path} names "
-                                    f"column {header[j]!r} more than once")
+                    raise DataError(f"{path} names column {header[j]!r} "
+                                    "more than once")
             parts, n_rows = [np.empty((0, len(cols)))], 0
             for text in _pieces(handle):
                 block = _parse_piece(text, len(header))
@@ -217,13 +216,13 @@ def _load_columns(
             if not matrix.shape[0]:
                 raise _no_finite_row(path, header, cols, full)
     except FileNotFoundError:
-        raise DataError("missing_file", f"no such file: {path}")
+        raise DataError(f"no such file: {path}")
     except OSError as exc:
-        raise DataError("missing_file", f"cannot read {path}: {exc}")
+        raise DataError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError:
-        raise DataError("not_utf8", f"{path} is not UTF-8 text")
+        raise DataError(f"{path} is not UTF-8 text")
     except csv.Error as exc:
-        raise DataError("bad_csv", f"cannot read {path} as CSV: {exc}")
+        raise DataError(f"cannot read {path} as CSV: {exc}")
     dropped = n_rows - matrix.shape[0]
     if dropped:
         print(f"note: dropped {dropped} row(s) of {path} with missing or "
@@ -246,13 +245,12 @@ def load_csv(path: str, target: str | int) -> Dataset:
             target = header.index(target)
         elif not str(target).removeprefix("-").isdecimal():
             raise DataError(
-                "missing_target", f"target column {target!r} not in header"
+                f"target column {target!r} not in header"
             )
         target = int(target)
         if not (0 <= target < len(header)):
             raise DataError(
-                "missing_target",
-                f"target index {target} outside 0..{len(header) - 1}",
+                f"target index {target} outside 0..{len(header) - 1}"
             )
         return list(range(len(header)))
 
@@ -273,7 +271,7 @@ def partition(
     """Random train/test split: min(floor(2N/3), 1000) training rows."""
     N = data.X.shape[0]
     if N < 3:
-        raise DataError("too_few_rows", f"need at least 3 rows, got {N}")
+        raise DataError(f"need at least 3 rows, got {N}")
     n_train = min((2 * N) // 3, _TRAIN_CAP)
     order = rng.permutation(N)
     train, test = (
@@ -301,8 +299,7 @@ def load_feature_matrix(
             return [header.index(name) for name in feature_names]
         if feature_names and len(header) != len(feature_names):
             raise DataError(
-                "missing_target",
-                "prediction file lacks the model's feature columns",
+                "prediction file lacks the model's feature columns"
             )
         return list(range(len(header)))
 

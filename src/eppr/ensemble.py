@@ -288,13 +288,16 @@ def from_json_text(text: str) -> EnsembleModel:
     key never takes a default and an unknown one is never ignored; wrong
     value types, a number that is not finite or overflows, no members,
     weight count or ``k`` that disagrees with the ridge count, a member
-    variant other than the config's, member traces that do not list the
-    steps fitted (``bic_trace`` and ``sse_trace`` of equal length, ``k``
-    under ``fixed_k`` and ``k`` or ``k + 1`` under ``bic``, the steps
-    counting 1, 2, ... in order, no SSE below 0), ``column_names`` other
-    than null or one distinct string per predictor and one for the
-    target, a scaling range that is reversed or overflows, predictions
-    that could overflow, a truncation that is not positive, lists or
+    variant other than the config's, a ``k`` that no fit keeps (below 1,
+    above ``k_max``, or other than ``k_max`` under ``fixed_k``), member
+    traces that do not list the steps fitted (``bic_trace`` and
+    ``sse_trace`` of equal length, ``k`` under ``fixed_k`` and ``k`` or
+    ``k + 1`` under ``bic``, at most ``k_max``, the steps counting 1, 2,
+    ... in order, no SSE below 0), ``column_names`` other than null or one
+    distinct string per predictor and one for the target, a scaling range
+    that is reversed or overflows, predictions that could overflow, a
+    truncation that is not positive or that is null when
+    ``truncation_mode`` is ``ln_n`` or set when it is ``off``, lists or
     objects nested past the recursion limit) raises ``ConfigError``.  So
     does a ridge the fit could not have built: subset indices outside the
     stored predictor count or not strictly increasing, a subset whose
@@ -433,6 +436,9 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
     kv = make_uniform_knots(config.J, config.degree)
     if not doc["members"]:
         raise ConfigError("model has no members")
+    # A fit keeps 1 to k_max terms, exactly k_max under fixed_k.
+    bic = config.stopping == "bic"
+    k_min = 1 if bic else config.k_max
     members = []
     for mdoc in doc["members"]:
         _exact_keys(mdoc, _MEMBER_KEYS, "member")
@@ -445,6 +451,8 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
         k = _number(mdoc["k"], "k", integer=True)
         if k != len(ridges):
             raise ConfigError(f"member has k={k} for {len(ridges)} ridges")
+        if not k_min <= k <= config.k_max:
+            raise ConfigError(f"member has k={k}, outside {k_min}..{config.k_max}")
         if mdoc["variant"] != config.variant:
             raise ConfigError(f"member variant {mdoc['variant']!r} differs "
                               f"from the config's {config.variant!r}")
@@ -455,8 +463,8 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
         ]
         sse_trace = _numbers(mdoc["sse_trace"], "sse_trace")
         # One entry per step fitted: k, or k + 1 when bic fitted a step it
-        # then discarded.
-        if not k <= sse_trace.size <= k + (config.stopping == "bic"):
+        # then discarded, and never more than k_max.
+        if not k <= sse_trace.size <= min(k + bic, config.k_max):
             raise ConfigError(f"member has {sse_trace.size} SSE entries for k={k}")
         if [t for t, _ in bic_trace] != list(range(1, sse_trace.size + 1)):
             raise ConfigError("bic_trace steps must count 1, 2, ... beside sse_trace")
@@ -480,6 +488,9 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
         truncation = _number(truncation, "truncation")
         if not truncation > 0.0:
             raise ConfigError("truncation must be null or a number > 0")
+    if (truncation is None) != (config.truncation_mode == "off"):
+        raise ConfigError("truncation must be null exactly when "
+                          "truncation_mode is 'off'")
     config.validate(p)
     if any(r.subset.size != config.q for m in members for r in m.ridges):
         raise ConfigError(f"every ridge subset must hold q={config.q} indices")
@@ -532,9 +543,9 @@ def load_model(path: str) -> EnsembleModel:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except FileNotFoundError:
-        raise DataError("missing_file", f"no such model file: {path}")
+        raise DataError(f"no such model file: {path}")
     except OSError as exc:
-        raise DataError("missing_file", f"cannot read {path}: {exc}")
+        raise DataError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError:
         raise ConfigError(f"not a model document ({path} is not UTF-8 text)")
     return from_json_text(text)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each carries only its message.  The exception class alone picks the
+command-line exit code: 2 for ``ConfigError``, 3 for ``DataError`` and 4
+for ``NumericError``.
+"""
 
 
 class EpprError(Exception):
@@ -10,19 +15,7 @@ class ConfigError(EpprError, ValueError):
 
 
 class DataError(EpprError):
-    """Problem reading or interpreting an input file.
-
-    ``code`` distinguishes failure modes programmatically:
-    ``missing_file``, ``not_utf8``, ``bad_csv`` (the ``csv`` module
-    refused the text, such as a cell over its field limit),
-    ``missing_target``, ``no_rows``, ``non_numeric_column``,
-    ``too_few_rows``, ``repeated_column`` (a column the reader keeps is
-    named twice in the header).
-    """
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+    """Problem reading or interpreting an input file, or writing an output."""
 
 
 class NumericError(EpprError, ArithmeticError):

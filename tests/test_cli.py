@@ -1271,6 +1271,57 @@ _TRACE_RULES = {
 }
 
 
+def _no_terms(doc: dict) -> None:
+    # No fit keeps 0 terms; loaded, this member would predict its intercept.
+    doc["members"][0].update(k=0, ridges=[], weights=[], bic_trace=[],
+                             sse_trace=[])
+
+
+def _k_max_above_fixed_k(doc: dict) -> None:
+    # Self-consistent, but fixed_k keeps exactly k_max terms, here 2.
+    doc["config"]["k_max"] = 2
+
+
+def _second_term_beyond_k_max(doc: dict) -> None:
+    # Two self-consistent terms under bic, but k_max = 1.
+    doc["config"]["stopping"] = "bic"
+    member = doc["members"][0]
+    for key in ("ridges", "weights", "sse_trace"):
+        member[key].append(member[key][0])
+    member["bic_trace"].append([2, member["bic_trace"][0][1]])
+    member["k"] = 2
+
+
+def _bic_step_beyond_k_max(doc: dict) -> None:
+    # bic may fit one step past k, but never a step past k_max = 1.
+    _fixed_k_step_beyond_k(doc)
+    doc["config"]["stopping"] = "bic"
+
+
+def _stray_truncation(doc: dict) -> None:
+    # Under truncation_mode "off" this would clip every prediction to +-0.5.
+    doc["truncation"] = 0.5
+
+
+def _ln_n_without_truncation(doc: dict) -> None:
+    # A fit under "ln_n" always stores its level; a null one would never clip.
+    doc["config"]["truncation_mode"] = "ln_n"
+
+
+# Counts and levels that no fit writes, each with its one error line; the
+# model is fixed_k with k_max = 1 and truncation_mode "off".
+_FIT_RULES = {
+    _no_terms: "member has k=0, outside 1..1",
+    _k_max_above_fixed_k: "member has k=1, outside 2..2",
+    _second_term_beyond_k_max: "member has k=2, outside 1..1",
+    _bic_step_beyond_k_max: "member has 2 SSE entries for k=1",
+    _stray_truncation:
+        "truncation must be null exactly when truncation_mode is 'off'",
+    _ln_n_without_truncation:
+        "truncation must be null exactly when truncation_mode is 'off'",
+}
+
+
 # The ridge rules the loader checks, each with its one error line.
 _RIDGE_RULES = {
     _non_unit_theta: "theta must have unit norm",
@@ -1368,7 +1419,7 @@ OVERFLOW = "1e999"
      _largest_float_coefficients, *_OVERSIZED, _non_unit_theta,
      _theta_longer_than_subset, _decreasing_subset, _repeated_subset_index,
      _one_coefficient_short, _equal_scaler_bounds, _reversed_scaler_bounds,
-     *_KEY_RULES, *_TRACE_RULES, *_Q_RULES],
+     *_KEY_RULES, *_TRACE_RULES, *_FIT_RULES, *_Q_RULES],
 )
 def test_malformed_model_is_one_line_usage_error(
     tmp_path, capsys, mutate
@@ -1390,7 +1441,8 @@ def test_malformed_model_is_one_line_usage_error(
         code, err = main(argv), capsys.readouterr().err
     assert code == EXIT_USAGE
     assert _one_error_line(err)
-    rules = {**_RIDGE_RULES, **_KEY_RULES, **_TRACE_RULES, **_Q_RULES}
+    rules = {**_RIDGE_RULES, **_KEY_RULES, **_TRACE_RULES, **_FIT_RULES,
+             **_Q_RULES}
     line = rules.get(mutate)
     if line is not None:
         assert err == f"error: {line}\n"
