@@ -444,13 +444,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     _check_writable(args.out)
     model = ensemble.load_model(args.model)
-    feature_names = (
-        model.column_names[:-1] if model.column_names else None
-    )
-    X = load_feature_matrix(args.data, feature_names)
-    if X.shape[1] != model.p:
-        raise DataError("prediction file lacks the model's "
-                        "feature columns")
+    # A model without column names reads its predictors by position.
+    X = load_feature_matrix(args.data, model.p,
+                            (model.column_names or [])[:-1])
     predictions = model.predict(X)
     _write_csv(args.out, ["prediction"], predictions)
     print(f"{predictions.shape[0]} prediction(s) written to {args.out}")
@@ -470,9 +466,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     )
     sys.stdout.write(report.render())
     if not report.successful():
-        print("error: every repeat failed to produce a metric",
-              file=sys.stderr)
-        return EXIT_NUMERIC
+        raise NumericError("every repeat failed to produce a metric")
     return EXIT_OK
 
 

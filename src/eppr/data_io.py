@@ -283,21 +283,22 @@ def partition(
 
 
 def load_feature_matrix(
-    path: str, feature_names: list[str] | None = None
+    path: str, width: int, feature_names: list[str] | None = None
 ) -> np.ndarray:
-    """Read predictor columns for prediction, without a response.
+    """Read ``width`` predictor columns for prediction, without a response.
 
-    When ``feature_names`` is given and all appear in the header, those
+    When ``feature_names`` is non-empty and all appear in the header, those
     columns are taken in the stored order (extra columns such as the
     original target are ignored); otherwise the file must consist of
-    exactly those predictors.  Rows are dropped and counted under the same
-    rules as in ``load_csv``.
+    exactly ``width`` columns, taken by position.  A header of another
+    width is refused before any row is read.  Rows are dropped and counted
+    under the same rules as in ``load_csv``.
     """
 
     def feature_columns(header: list[str]) -> list[int]:
         if feature_names and all(name in header for name in feature_names):
             return [header.index(name) for name in feature_names]
-        if feature_names and len(header) != len(feature_names):
+        if len(header) != width:
             raise DataError(
                 "prediction file lacks the model's feature columns"
             )

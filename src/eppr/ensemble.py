@@ -60,11 +60,9 @@ class FitConfig:
             if getattr(self, name) not in choices:
                 what = name.replace("_", " ")
                 raise ConfigError(f"{what} must be one of {choices}")
-        if self.q < 1:
-            raise ConfigError(f"q must be >= 1, got {self.q}")
         if p is not None and self.q > p:
             raise ConfigError(f"q={self.q} exceeds predictor count p={p}")
-        for name in ("ell", "B", "k_max"):
+        for name in ("q", "ell", "B", "k_max"):
             if (value := getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if not 1 <= self.degree <= _MAX_DEGREE:
@@ -305,7 +303,8 @@ def from_json_text(text: str) -> EnsembleModel:
     or not of unit norm, a scaler whose hi is not above its lo or whose
     hi - lo overflows, or a coefficient count other than J.  These are the
     only checks on ``Ridge`` and ``ProjectionScaler`` records.  A config
-    whose ``q`` exceeds the stored predictor count is refused as well.
+    whose ``q`` exceeds the stored predictor count is refused as well, with
+    the config's other rules, once the feature scaling is read.
     """
     try:
         doc = json.loads(text, parse_float=_finite_float,
@@ -357,12 +356,14 @@ def _exact_keys(node: dict, keys: frozenset, what: str) -> dict:
     return node
 
 
-def _ridge_from_dict(rdoc: dict, kv: KnotVector, p: int) -> Ridge:
+def _ridge_from_dict(rdoc: dict, kv: KnotVector, p: int, q: int) -> Ridge:
     """A stored ridge, refused unless it is one the fit could have built."""
     _exact_keys(rdoc, _RIDGE_KEYS, "ridge")
     subset = _numbers(rdoc["subset"], "ridge subset", integer=True)
     if np.any((subset < 0) | (subset >= p)):
         raise ConfigError(f"ridge subset {subset.tolist()} outside 0..{p - 1}")
+    if subset.size != q:
+        raise ConfigError(f"every ridge subset must hold q={q} indices")
     theta = _numbers(rdoc["theta"], "theta")
     lo = _number(rdoc["scaler_lo"], "scaler_lo")
     hi = _number(rdoc["scaler_hi"], "scaler_hi")
@@ -417,7 +418,6 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
     for name in (f.name for f in fields(FitConfig) if f.type == "int"):
         _number(getattr(config, name), f"config {name}", integer=True)
     _number(config.nu, "config nu")
-    config.validate()
     bounds = _exact_keys(doc["feature_scaling"], _SCALING_KEYS,
                          "feature_scaling")
     scaling = ColumnScaling(
@@ -433,6 +433,7 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
         raise ConfigError("feature scaling range hi - lo overflows float64")
     if np.any(span < 0.0):
         raise ConfigError("feature scaling has lo > hi")
+    config.validate(p)
     kv = make_uniform_knots(config.J, config.degree)
     if not doc["members"]:
         raise ConfigError("model has no members")
@@ -442,7 +443,7 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
     members = []
     for mdoc in doc["members"]:
         _exact_keys(mdoc, _MEMBER_KEYS, "member")
-        ridges = [_ridge_from_dict(rdoc, kv, p) for rdoc in mdoc["ridges"]]
+        ridges = [_ridge_from_dict(r, kv, p, config.q) for r in mdoc["ridges"]]
         weights = _numbers(mdoc["weights"], "weights")
         if weights.shape != (len(ridges),):
             raise ConfigError(
@@ -491,9 +492,6 @@ def _model_from_doc(doc: dict) -> EnsembleModel:
     if (truncation is None) != (config.truncation_mode == "off"):
         raise ConfigError("truncation must be null exactly when "
                           "truncation_mode is 'off'")
-    config.validate(p)
-    if any(r.subset.size != config.q for m in members for r in m.ridges):
-        raise ConfigError(f"every ridge subset must hold q={config.q} indices")
     return EnsembleModel(
         config=config,
         members=members,

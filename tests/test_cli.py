@@ -760,12 +760,15 @@ class TestExitCodes:
         assert _one_error_line(capsys.readouterr().err)
         assert not table.exists()
 
-    @pytest.mark.parametrize("width", [8, 11])
+    @pytest.mark.parametrize("width, dirty", [
+        (8, False), (11, False), (8, True), (11, True),
+    ], ids=["8", "11", "8-dirty", "11-dirty"])
     @pytest.mark.parametrize("named", [True, False])
     def test_predict_file_of_another_width_is_file_error(
-        self, tmp_path, capsys, named, width
+        self, tmp_path, capsys, named, width, dirty
     ) -> None:
-        """Named or not, the model refuses the file with one error."""
+        """Named or not, the model refuses the file from its header, with
+        one error line and no note on a row it would have dropped."""
         data = synth_file(tmp_path, scenario="ppr3", n=120, p=9)
         model_path = tmp_path / "model.json"
         assert main(["train", "--data", data, "--target", "y",
@@ -776,10 +779,13 @@ class TestExitCodes:
             doc["column_names"] = None
             model_path.write_text(json.dumps(doc))
         rows = np.random.default_rng(0).uniform(-1.0, 1.0, (30, width))
+        cells = [list(map(repr, row)) for row in rows.tolist()]
+        if dirty:
+            cells[12][3] = "NA"
         other = tmp_path / "other.csv"
         other.write_text(
             ",".join(f"a{j}" for j in range(width)) + "\n"
-            + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+            + "".join(",".join(row) + "\n" for row in cells)
         )
         capsys.readouterr()
         code = main(["predict", "--model", str(model_path),
@@ -1344,8 +1350,10 @@ def _q_not_the_subset_length(doc: dict) -> None:
     doc["config"]["q"] -= 1
 
 
-# Rules on q, checked after every other rule, each with its one error
-# line; the model has p = 9 and q = 6.
+# Rules on q, each with its one error line; the model has p = 9 and q = 6.
+# q is checked against p with the rest of the config, once the feature
+# scaling is read, and against each subset's length with that ridge's
+# other subset rules.
 _Q_RULES = {
     _q_exceeds_p: "q=10 exceeds predictor count p=9",
     _q_not_the_subset_length: "every ridge subset must hold q=5 indices",

@@ -253,46 +253,54 @@ class TestLoadFeatureMatrix:
     def test_plain_matrix(self, tmp_path) -> None:
         path = write_csv(tmp_path / "q.csv", "a,b\n1,2\n3,4\n")
         np.testing.assert_array_equal(
-            load_feature_matrix(path), [[1, 2], [3, 4]]
+            load_feature_matrix(path, 2), [[1, 2], [3, 4]]
         )
 
     def test_named_columns_reordered(self, tmp_path) -> None:
         path = write_csv(tmp_path / "q.csv", "b,a\n2,1\n4,3\n")
-        out = load_feature_matrix(path, feature_names=["a", "b"])
+        out = load_feature_matrix(path, 2, feature_names=["a", "b"])
         np.testing.assert_array_equal(out, [[1, 2], [3, 4]])
 
     def test_extra_target_column_ignored(self, tmp_path) -> None:
         path = write_csv(tmp_path / "q.csv", "a,b,y\n1,2,9\n3,4,9\n")
-        out = load_feature_matrix(path, feature_names=["a", "b"])
+        out = load_feature_matrix(path, 2, feature_names=["a", "b"])
         np.testing.assert_array_equal(out, [[1, 2], [3, 4]])
 
     def test_headerless_width_fallback(self, tmp_path) -> None:
         # Names absent but the width matches the stored feature count.
         path = write_csv(tmp_path / "q.csv", "c1,c2\n1,2\n3,4\n")
-        out = load_feature_matrix(path, feature_names=["a", "b"])
+        out = load_feature_matrix(path, 2, feature_names=["a", "b"])
         np.testing.assert_array_equal(out, [[1, 2], [3, 4]])
 
     def test_wrong_columns_rejected(self, tmp_path) -> None:
         path = write_csv(tmp_path / "q.csv", "a,b,c\n1,2,3\n")
         with pytest.raises(DataError):
-            load_feature_matrix(path, feature_names=["a", "z"])
+            load_feature_matrix(path, 2, feature_names=["a", "z"])
+
+    def test_unnamed_width_mismatch_rejected(self, tmp_path) -> None:
+        path = write_csv(tmp_path / "q.csv", "a,b\n1,2\n3,4\n")
+        with pytest.raises(DataError) as excinfo:
+            load_feature_matrix(path, 3)
+        assert str(excinfo.value) == (
+            "prediction file lacks the model's feature columns"
+        )
 
     def test_bad_rows_dropped(self, tmp_path) -> None:
         path = write_csv(tmp_path / "q.csv", "a,b\n1,2\nbad,4\n5,6\n")
-        out = load_feature_matrix(path)
+        out = load_feature_matrix(path, 2)
         np.testing.assert_array_equal(out, [[1, 2], [5, 6]])
 
     def test_missing_file(self, tmp_path) -> None:
         path = str(tmp_path / "nope.csv")
         with pytest.raises(DataError) as excinfo:
-            load_feature_matrix(path)
+            load_feature_matrix(path, 2)
         assert str(excinfo.value) == f"no such file: {path}"
 
 
 READERS = {
     "load_csv": lambda path: load_csv(path, "y").X,
     "load_feature_matrix": lambda path: load_feature_matrix(
-        path, feature_names=["a", "b"]
+        path, 2, feature_names=["a", "b"]
     ),
 }
 
@@ -367,7 +375,7 @@ def _feature_cols(header):
 CORPUS_READERS = {
     "load_csv": (_csv_block, lambda header: list(range(len(header)))),
     "load_feature_matrix": (
-        lambda path: (load_feature_matrix(path, ["a", "b"]), None),
+        lambda path: (load_feature_matrix(path, 2, ["a", "b"]), None),
         _feature_cols,
     ),
 }
@@ -443,7 +451,7 @@ def test_clean_file_skips_per_row_rules(tmp_path, monkeypatch) -> None:
     np.testing.assert_array_equal(data.X, [[1, 2], [7, 8]])
     assert data.dropped_rows == 1
     np.testing.assert_array_equal(
-        load_feature_matrix(path, ["b", "a"]), [[2, 1], [8, 7]]
+        load_feature_matrix(path, 2, ["b", "a"]), [[2, 1], [8, 7]]
     )
     assert opened == [path, path]
 
