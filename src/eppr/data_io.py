@@ -118,11 +118,12 @@ def _no_finite_row(
 
     ``matrix`` holds the chosen cells of every non-blank body row as wide
     as the header, NaN where ``float()`` refused a cell.  A chosen column
-    that never holds a finite number there is a load error rather than
+    that holds no number but NaN there is a load error rather than
     silently encoded, and an unnamed one is named by its 1-based
-    position; otherwise the file has no usable rows.
+    position; otherwise, as when a column's numbers all overflow to an
+    infinity, the file has no usable rows.
     """
-    seen = np.isfinite(matrix).any(axis=0)
+    seen = (~np.isnan(matrix)).any(axis=0)
     never_numeric = [header[j] or f"column {j + 1} (unnamed)"
                      for j, ok in zip(cols, seen) if not ok]
     if matrix.shape[0] and never_numeric:
@@ -153,10 +154,14 @@ def _parse_piece(text: str, width: int) -> np.ndarray | None:
     ``None`` when numpy rejects the text (a ragged row, a cell only
     ``float()`` accepts, a non-numeric cell, no data), the text holds a
     character of ``_FLOAT_REJECTS`` or its width differs from the
-    header's.  On every text numpy accepts, its values and row count
-    equal those of the per-row rules.
+    header's.  Also ``None`` for a text longer than the ``csv`` module's
+    field limit, which may hold a cell the per-row rules refuse as too
+    long.  On every text numpy accepts, its values and row count equal
+    those of the per-row rules.
     """
-    if any(ch in text for ch in _FLOAT_REJECTS):
+    if len(text) > csv.field_size_limit() or any(
+        ch in text for ch in _FLOAT_REJECTS
+    ):
         return None
     try:
         with warnings.catch_warnings():

@@ -3,7 +3,8 @@
 A ridge couples a unit direction on a predictor subset with a spline in
 the scaled projection.  Fitting alternates damped least squares for the
 spline coefficients with a sphere-constrained Gauss-Newton update of the
-direction, from several starts, keeping the best.
+direction, from several starts: each runs to a loose tolerance, and the
+best of them goes on to a fine one.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ _DEGENERATE_SPAN = 1e-12
 
 # The alternating fit: starts per ridge (the OLS direction, then random
 # ones), alternations per start, step halvings per Gauss-Newton step, and
-# the relative SSE gain below which a start stops.
+# the relative SSE gains below which every start stops (_RACE_TOL) and
+# the start with the lowest SSE then stops (_REL_TOL).
 _N_STARTS = 5
 _MAX_ALTERNATIONS = 20
 _MAX_HALVINGS = 10
+_RACE_TOL = 1e-4
 _REL_TOL = 1e-6
 
 # A failed trial step whose SSE rise is this fraction of the previous
@@ -219,13 +222,17 @@ def fit_single_index(
 
     Multi-start alternation: (a) damped LS for the spline coefficients at
     the current direction, (b) Gauss-Newton direction update with
-    step-halving, accepted only when the refitted SSE decreases.  The
-    returned SSE is the training SSE of the best start (the earliest on a
-    tie).  Fallbacks: constant residuals give that constant with SSE 0; a
-    start whose projection is too narrow to scale offers the best constant;
-    a start keeps its last accepted direction when the Gauss-Newton solve
-    fails or step-halving runs out.  Requires n > J + q rows, which
-    ``ensemble.fit`` checks.
+    step-halving, accepted only when the refitted SSE decreases.  Every
+    start alternates until an accepted step lowers its SSE by less than
+    1e-4 of it.  The start with the lowest SSE then (the earliest on a
+    tie) goes on from there until a step gains less than 1e-6, and its
+    ridge and training SSE are returned; the other starts stop at 1e-4.
+    Models therefore differ from those of versions that ran every start
+    to 1e-6 and kept the best.  Fallbacks: constant residuals give that
+    constant with SSE 0; a start whose projection is too narrow to scale
+    offers the best constant; a start keeps its last accepted direction
+    when the Gauss-Newton solve fails or step-halving runs out, and does
+    not go on.  Requires n > J + q rows, which ``ensemble.fit`` checks.
 
     Step-halving tries the full step and up to 10 halvings.  Past degree 1
     it also runs out early, at a failed trial whose SSE rise is 0.4 to 0.6
@@ -252,12 +259,16 @@ def fit_single_index(
         drawn = _unit(opts.rng.standard_normal(q))
         starts.append(drawn if drawn is not None else _first_axis_unit(q))
 
-    # min() replaces its pick only on a strictly smaller SSE.
-    sse, ridge = min(
-        (_fit_from_start(X_A, residuals, kv, theta0, subset)
+    # Every start runs to the loose tolerance; only the leader, the first
+    # start with the lowest SSE (min() keeps the earliest on a tie), goes
+    # on to the fine one.
+    leader = min(
+        (_fit_from_start(X_A, residuals, kv, theta0, subset, _RACE_TOL)
          for theta0 in starts),
-        key=lambda fitted: fitted[0],
+        key=lambda start: start.sse,
     )
+    leader.run(_REL_TOL)
+    sse, ridge = leader
     return _flip_to_sign_convention(ridge), sse
 
 
@@ -267,51 +278,100 @@ def _ols_direction(X_A: np.ndarray, residuals: np.ndarray) -> np.ndarray | None:
     return _unit(beta[1:])
 
 
-def _fit_from_start(
-    X_A: np.ndarray,
-    residuals: np.ndarray,
-    kv: KnotVector,
-    theta0: np.ndarray,
-    subset: np.ndarray,
-) -> tuple[float, Ridge]:
-    """Alternate from ``theta0``; return the final SSE and ridge.
+class _Start:
+    """One start's alternation, which stops at a tolerance and can go on.
+
+    The start solves at its direction on creation.  ``run(tol)``
+    alternates until an accepted step lowers the SSE by less than ``tol``
+    of it.  A later ``run`` at a smaller tolerance judges that step again
+    and goes on from it with the alternations left, so the start takes the
+    steps one ``run`` at the smaller tolerance takes.  A fallback ends the
+    start for good: a degenerate projection at the start direction, which
+    offers the best constant, a failed Gauss-Newton solve, exhausted
+    step-halving or the alternation cap.  The start unpacks as its SSE
+    and ridge where it stopped.
 
     The Gauss-Newton Jacobian takes the spline's slopes from
     ``basis_deriv_matrix(kv, v, coeffs)``, without a dense derivative
     design, at the points the accepted solve has placed; each candidate
     direction is refitted on the dense value design.
     """
-    theta = theta0
-    state = _solve_at_theta(X_A, residuals, kv, theta)
-    if state is None:
-        # Degenerate projection: this start can only offer a constant fit.
-        value = float(np.mean(residuals))
-        centered = residuals - value
-        return float(centered @ centered), _constant_ridge(
-            subset, X_A.shape[1], kv, value
-        )
-    scaler, v, sol = state
 
-    for _ in range(_MAX_ALTERNATIONS):
+    def __init__(
+        self,
+        X_A: np.ndarray,
+        residuals: np.ndarray,
+        kv: KnotVector,
+        theta0: np.ndarray,
+        subset: np.ndarray,
+    ) -> None:
+        self.X_A, self.residuals, self.kv = X_A, residuals, kv
+        self.theta, self.subset = theta0, subset
+        self.left = _MAX_ALTERNATIONS
+        # The SSE before the last accepted step; no step is judged yet.
+        self.prev_sse = math.inf
+        self.state = _solve_at_theta(X_A, residuals, kv, theta0)
+        self.done = self.state is None
+        if self.done:
+            # Degenerate projection: this start can only offer a constant.
+            value = float(np.mean(residuals))
+            centered = residuals - value
+            self.sse = float(centered @ centered)
+            self.ridge = _constant_ridge(subset, X_A.shape[1], kv, value)
+        else:
+            self._keep()
+
+    def _keep(self) -> None:
+        scaler, _, sol = self.state
+        self.sse = sol.sse
+        self.ridge = Ridge(
+            subset=self.subset, theta=self.theta, scaler=scaler,
+            coeffs=sol.coefficients, knots=self.kv,
+        )
+
+    def __iter__(self):
+        return iter((self.sse, self.ridge))
+
+    def run(self, tol: float) -> None:
+        while not self.done:
+            if self.prev_sse - self.sse < tol * max(self.prev_sse, 1e-30):
+                return
+            self.done = not self._step()
+
+    def _step(self) -> bool:
+        """One Gauss-Newton step; ``False`` when a fallback ends the start."""
+        if not self.left:
+            return False
+        self.left -= 1
+        X_A, residuals, kv = self.X_A, self.residuals, self.kv
+        scaler, v, sol = self.state
         slope_g = basis_deriv_matrix(kv, v, sol.coefficients)
         slope_g *= scaler.slope
-        jacobian = slope_g[:, None] * X_A
-        delta = gauss_newton_delta(sol.residual, jacobian)
+        delta = gauss_newton_delta(sol.residual, slope_g[:, None] * X_A)
         if delta is None:
-            break
-        prev_sse = sol.sse
-        accepted = _halve_step(X_A, residuals, kv, theta, delta, prev_sse)
+            return False
+        accepted = _halve_step(X_A, residuals, kv, self.theta, delta, sol.sse)
         if accepted is None:
-            break
-        theta, (scaler, v, sol) = accepted
-        if prev_sse - sol.sse < _REL_TOL * max(prev_sse, 1e-30):
-            break
+            return False
+        self.prev_sse = sol.sse
+        self.theta, self.state = accepted
+        self._keep()
+        return True
 
-    ridge = Ridge(
-        subset=subset, theta=theta, scaler=scaler, coeffs=sol.coefficients,
-        knots=kv,
-    )
-    return sol.sse, ridge
+
+def _fit_from_start(
+    X_A: np.ndarray,
+    residuals: np.ndarray,
+    kv: KnotVector,
+    theta0: np.ndarray,
+    subset: np.ndarray,
+    tol: float = _REL_TOL,
+) -> _Start:
+    """Alternate from ``theta0`` to ``tol``; the start unpacks as its SSE
+    and ridge there."""
+    start = _Start(X_A, residuals, kv, theta0, subset)
+    start.run(tol)
+    return start
 
 
 def _halve_step(

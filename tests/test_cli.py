@@ -1643,6 +1643,28 @@ def test_oversized_csv_cell_is_one_line_file_error(
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_oversized_numeric_cell_is_refused_on_either_path(
+    tmp_path, capsys, command
+) -> None:
+    """A 200,002-character number in the last of 20 clean rows is refused
+    with the same line whether numpy parses its piece or, after an ``NA``
+    row in the same piece, the per-row rules do."""
+    rows = [f"{i},{i + 1}" for i in range(20)] + ["1,0." + "1" * 200_000]
+    big = tmp_path / "big.csv"
+    errors = []
+    for dirty in (False, True):
+        big.write_text("\n".join(["x1,y", *rows]) + "\n")
+        argv = _reading_argv(tmp_path, command, str(big))
+        capsys.readouterr()
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and "field limit" in err
+        errors.append(err)
+        rows.insert(3, "NA,1")
+    assert errors[0] == errors[1]
+
+
 def _rename_columns(path: str, header: str, copy_from: int | None = None):
     """``path`` with a new header; ``copy_from`` appends a copy of a column."""
     lines = Path(path).read_text().splitlines()

@@ -327,6 +327,16 @@ class TestSharedReaderRules:
             READERS[reader](path)
         assert str(excinfo.value) == "column(s) never numeric: b"
 
+    def test_overflowing_column_is_numeric(self, tmp_path, reader) -> None:
+        # float() reads each cell of a, as an infinity: every row is
+        # dropped as non-finite, but the column is not "never numeric".
+        path = write_csv(
+            tmp_path / "d.csv", "a,b,y\n1e999,1,2\n-1e999,3,4\n1e999,5,6\n"
+        )
+        with pytest.raises(DataError) as excinfo:
+            READERS[reader](path)
+        assert str(excinfo.value) == f"{path} has no usable data rows"
+
 
 # Each text runs through the public readers and through the per-row rules
 # over the whole body (``_parse_piece`` made to reject every piece), which
@@ -347,6 +357,7 @@ READER_CORPUS = {
     "whitespace_lines": "a,b,y\n1,2,3\n   \n\t\n4,5,6\n",
     "unselected_text": "a,b,note,y\n1,2,red,3\n4,5,blue,6\n",
     "all_nan_column": "a,b,y\n1,nan,3\n4,nan,6\n",
+    "overflowing_column": "a,b,y\n1e999,2,3\n4,-1e999,6\n",
     "header_only": "a,b,y\n",
     "header_spans_lines": '"a\nx",b,y\n1,2,3\n',
     "early_bad_row": "a,b,y\n1,,3\n4,5,6\n7,8,9\n10,11,12\n13,14,15\n",

@@ -394,6 +394,146 @@ class TestFirstOrderRise:
         assert ridge.theta.tobytes() == thetas[6].tobytes()
 
 
+class TestRace:
+    """Every start alternates to ``_RACE_TOL``; the leader, the earliest
+    start with the lowest SSE, alone goes on to ``_REL_TOL``."""
+
+    @staticmethod
+    def problem(seed: int):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, (200, 4))
+        theta = np.array([0.6, -0.3, 0.7, 0.2])
+        y = np.sin(2.5 * (X @ theta)) + 0.1 * rng.standard_normal(200)
+        return X, y, make_uniform_knots(8, 3), np.arange(4)
+
+    @staticmethod
+    def race(monkeypatch, X, y, kv, seed: int):
+        """Fit; return the fit, each start's direction, and the solves made
+        in each start's race and after the race ("after")."""
+        real_start = singleindex._fit_from_start
+        real_solve = singleindex._solve_at_theta
+        thetas: list = []
+        solves: dict = {"after": 0}
+        phase = ["after"]
+
+        def start(*args):
+            thetas.append(args[3])
+            phase[0] = len(thetas) - 1
+            solves[phase[0]] = 0
+            fitted = real_start(*args)
+            phase[0] = "after"
+            return fitted
+
+        def solve(*args):
+            solves[phase[0]] += 1
+            return real_solve(*args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(singleindex, "_fit_from_start", start)
+            patched.setattr(singleindex, "_solve_at_theta", solve)
+            fitted = fit_single_index(
+                X, y, kv, SingleIndexOptions(rng=np.random.default_rng(seed))
+            )
+        assert len(thetas) == singleindex._N_STARTS
+        return fitted, thetas, solves
+
+    @staticmethod
+    def solves_of(monkeypatch, *args) -> tuple[int, singleindex._Start]:
+        """The solves ``_fit_from_start(*args)`` makes, and its start."""
+        real_solve = singleindex._solve_at_theta
+        count = [0]
+
+        def solve(*solve_args):
+            count[0] += 1
+            return real_solve(*solve_args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(singleindex, "_solve_at_theta", solve)
+            fitted = singleindex._fit_from_start(*args)
+        return count[0], fitted
+
+    @staticmethod
+    def assert_same_bits(ridge: Ridge, sse: float, ref_ridge: Ridge,
+                         ref_sse: float) -> None:
+        assert sse == ref_sse
+        assert ridge.theta.tobytes() == ref_ridge.theta.tobytes()
+        assert ridge.coeffs.tobytes() == ref_ridge.coeffs.tobytes()
+        assert ridge.scaler == ref_ridge.scaler
+
+    @pytest.mark.parametrize("seed", range(50, 56))
+    def test_fine_race_keeps_the_best_full_fit(
+        self, monkeypatch, seed
+    ) -> None:
+        """At ``_RACE_TOL`` = ``_REL_TOL`` the fit is the rule it replaced:
+        every start fitted in full, the earliest lowest SSE kept."""
+        X, y, kv, subset = self.problem(seed)
+        monkeypatch.setattr(singleindex, "_RACE_TOL", singleindex._REL_TOL)
+        (ridge, sse), thetas, _ = self.race(monkeypatch, X, y, kv, seed + 1)
+        fits = [tuple(singleindex._fit_from_start(X, y, kv, theta0, subset))
+                for theta0 in thetas]
+        ref_sse, ref_ridge = min(fits, key=lambda fitted: fitted[0])
+        self.assert_same_bits(
+            ridge, sse,
+            singleindex._flip_to_sign_convention(ref_ridge), ref_sse,
+        )
+
+    def test_only_the_leader_goes_on(self, monkeypatch) -> None:
+        X, y, kv, subset = self.problem(50)
+        (ridge, sse), thetas, solves = self.race(monkeypatch, X, y, kv, 51)
+        raced = [self.solves_of(monkeypatch, X, y, kv, theta0, subset,
+                                singleindex._RACE_TOL) for theta0 in thetas]
+        # Each start's race made the solves of a run to _RACE_TOL alone.
+        assert [solves[i] for i in range(len(thetas))] == [
+            count for count, _ in raced
+        ]
+        sses = [fitted.sse for _, fitted in raced]
+        lead = sses.index(min(sses))
+        full_count, full = self.solves_of(monkeypatch, X, y, kv,
+                                          thetas[lead], subset)
+        # After the race, only the leader solved: the rest of its full run.
+        assert solves["after"] == full_count - raced[lead][0] > 0
+        full_sse, full_ridge = full
+        self.assert_same_bits(
+            ridge, sse,
+            singleindex._flip_to_sign_convention(full_ridge), full_sse,
+        )
+
+    def test_leader_stopped_by_a_fallback_is_final(self, monkeypatch) -> None:
+        """Each start's second Gauss-Newton solve fails in the race; after
+        it the solve works again, so a resumed leader would step on."""
+        X, y, kv, subset = self.problem(50)
+        real_start = singleindex._fit_from_start
+        real_delta = singleindex.gauss_newton_delta
+        deltas: list = []
+        after: list = []
+        sses: list = []
+
+        def start(*args):
+            deltas.append(0)
+            fitted = real_start(*args)
+            sses.append(fitted.sse)
+            return fitted
+
+        def delta(residual, jacobian):
+            if len(sses) == singleindex._N_STARTS:
+                after.append(None)
+                return real_delta(residual, jacobian)
+            deltas[-1] += 1
+            if deltas[-1] == 2:
+                return None
+            return real_delta(residual, jacobian)
+
+        monkeypatch.setattr(singleindex, "_fit_from_start", start)
+        monkeypatch.setattr(singleindex, "gauss_newton_delta", delta)
+        _, sse = fit_single_index(
+            X, y, kv, SingleIndexOptions(rng=np.random.default_rng(51))
+        )
+        # Every start took one step, then stopped on the failed solve.
+        assert deltas == [2] * singleindex._N_STARTS
+        assert after == []
+        assert sse == min(sses)
+
+
 def reference_transform(scaler: ProjectionScaler, z):
     """The expression ``ProjectionScaler.transform`` computed in one line."""
     return np.clip(
