@@ -404,13 +404,17 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         choices=ensemble.CHOICES["truncation_mode"])
 
 
-def _check_writable(path: str) -> None:
-    """Refuse an output path that cannot be written, before any work."""
+def _check_writable(path: str, *inputs: str) -> None:
+    """Refuse an output path that cannot be written or that names one of
+    the command's ``inputs``, before any work."""
     out_dir = os.path.dirname(path) or "."
     if not os.path.isdir(out_dir):
         reason = f"no such directory: {out_dir}"
     elif os.path.isdir(path):
         reason = "is a directory"
+    elif any(os.path.exists(name) and os.path.exists(path)
+             and os.path.samefile(path, name) for name in inputs):
+        reason = "is an input file"
     elif not os.access(out_dir, os.W_OK) or (
         os.path.exists(path) and not os.access(path, os.W_OK)
     ):
@@ -422,7 +426,7 @@ def _check_writable(path: str) -> None:
 
 def cmd_train(args: argparse.Namespace) -> int:
     # Checked before the fit, which can take minutes, rather than at save.
-    _check_writable(args.out)
+    _check_writable(args.out, args.data)
     dataset = load_csv(args.data, args.target)
     n, p = dataset.X.shape
     config = replace(
@@ -442,7 +446,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    _check_writable(args.out)
+    _check_writable(args.out, args.model, args.data)
     model = ensemble.load_model(args.model)
     # A model without column names reads its predictors by position.
     X = load_feature_matrix(args.data, model.p,

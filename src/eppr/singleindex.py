@@ -227,18 +227,17 @@ def fit_single_index(
     1e-4 of it.  The start with the lowest SSE then (the earliest on a
     tie) goes on from there until a step gains less than 1e-6, and its
     ridge and training SSE are returned; the other starts stop at 1e-4.
-    Models therefore differ from those of versions that ran every start
-    to 1e-6 and kept the best.  Fallbacks: constant residuals give that
-    constant with SSE 0; a start whose projection is too narrow to scale
-    offers the best constant; a start keeps its last accepted direction
-    when the Gauss-Newton solve fails or step-halving runs out, and does
-    not go on.  Requires n > J + q rows, which ``ensemble.fit`` checks.
+    Fallbacks: constant residuals give that constant with SSE 0; a start
+    whose projection is too narrow to scale offers the best constant; a
+    start keeps its last accepted direction when the Gauss-Newton solve
+    fails or step-halving runs out, and does not go on.  Requires
+    n > J + q rows, which ``ensemble.fit`` checks.
 
     Step-halving tries the full step and up to 10 halvings.  Past degree 1
     it also runs out early, at a failed trial whose SSE rise is 0.4 to 0.6
     times the previous trial's (both > 0): the SSE then rises in proportion
-    to the step.  The rule is not exact: a start that a later, shorter
-    step would have carried on now stops, so its ridge can differ.
+    to the step, so no shorter step is expected to lower it.  The rule is
+    a heuristic: a shorter step could still have carried the start on.
     """
     X_A = np.asarray(X_A, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
@@ -289,7 +288,7 @@ class _Start:
     start for good: a degenerate projection at the start direction, which
     offers the best constant, a failed Gauss-Newton solve, exhausted
     step-halving or the alternation cap.  The start unpacks as its SSE
-    and ridge where it stopped.
+    and ridge where it stopped; the ridge is built when it is read.
 
     The Gauss-Newton Jacobian takes the spline's slopes from
     ``basis_deriv_matrix(kv, v, coeffs)``, without a dense derivative
@@ -314,20 +313,19 @@ class _Start:
         self.done = self.state is None
         if self.done:
             # Degenerate projection: this start can only offer a constant.
-            value = float(np.mean(residuals))
-            centered = residuals - value
+            centered = residuals - float(np.mean(residuals))
             self.sse = float(centered @ centered)
-            self.ridge = _constant_ridge(subset, X_A.shape[1], kv, value)
         else:
-            self._keep()
+            self.sse = self.state[2].sse
 
-    def _keep(self) -> None:
+    @property
+    def ridge(self) -> Ridge:
+        if self.state is None:
+            return _constant_ridge(self.subset, self.X_A.shape[1], self.kv,
+                                   float(np.mean(self.residuals)))
         scaler, _, sol = self.state
-        self.sse = sol.sse
-        self.ridge = Ridge(
-            subset=self.subset, theta=self.theta, scaler=scaler,
-            coeffs=sol.coefficients, knots=self.kv,
-        )
+        return Ridge(subset=self.subset, theta=self.theta, scaler=scaler,
+                     coeffs=sol.coefficients, knots=self.kv)
 
     def __iter__(self):
         return iter((self.sse, self.ridge))
@@ -339,7 +337,14 @@ class _Start:
             self.done = not self._step()
 
     def _step(self) -> bool:
-        """One Gauss-Newton step; ``False`` when a fallback ends the start."""
+        """One Gauss-Newton step; ``False`` when a fallback ends the start.
+
+        The step takes the first direction theta + delta / 2**k, k =
+        0.._MAX_HALVINGS, whose refit lowers the SSE.  Past degree 1 the
+        halving also ends, with ``False``, at a failed trial whose SSE rise
+        is in ``_FIRST_ORDER_RISE`` times the previous trial's.  A trial
+        with no direction or a degenerate projection has no rise.
+        """
         if not self.left:
             return False
         self.left -= 1
@@ -350,13 +355,25 @@ class _Start:
         delta = gauss_newton_delta(sol.residual, slope_g[:, None] * X_A)
         if delta is None:
             return False
-        accepted = _halve_step(X_A, residuals, kv, self.theta, delta, sol.sse)
-        if accepted is None:
-            return False
-        self.prev_sse = sol.sse
-        self.theta, self.state = accepted
-        self._keep()
-        return True
+        low, high = _FIRST_ORDER_RISE
+        rise = None
+        for _ in range(_MAX_HALVINGS + 1):
+            theta = _unit(self.theta + delta)
+            delta = delta * 0.5
+            last, rise = rise, None
+            if theta is None:
+                continue
+            state = _solve_at_theta(X_A, residuals, kv, theta)
+            if state is None:
+                continue
+            if state[2].sse < sol.sse:
+                self.prev_sse, self.sse = sol.sse, state[2].sse
+                self.theta, self.state = theta, state
+                return True
+            rise = state[2].sse - sol.sse
+            if kv.degree > 1 and last and low * last <= rise <= high * last:
+                return False
+        return False
 
 
 def _fit_from_start(
@@ -372,38 +389,3 @@ def _fit_from_start(
     start = _Start(X_A, residuals, kv, theta0, subset)
     start.run(tol)
     return start
-
-
-def _halve_step(
-    X_A: np.ndarray,
-    residuals: np.ndarray,
-    kv: KnotVector,
-    theta: np.ndarray,
-    delta: np.ndarray,
-    prev_sse: float,
-) -> tuple[np.ndarray, tuple] | None:
-    """The first direction theta + delta / 2**k, k = 0.._MAX_HALVINGS,
-    whose refit lowers the SSE below ``prev_sse``, with its solve; else
-    ``None``.
-
-    Past degree 1, the halving also ends, with ``None``, at a failed trial
-    whose SSE rise is in ``_FIRST_ORDER_RISE`` times the previous trial's.
-    A trial with no direction or a degenerate projection has no rise.
-    """
-    low, high = _FIRST_ORDER_RISE
-    rise = None
-    for _ in range(_MAX_HALVINGS + 1):
-        cand_theta = _unit(theta + delta)
-        delta = delta * 0.5
-        last, rise = rise, None
-        if cand_theta is None:
-            continue
-        state = _solve_at_theta(X_A, residuals, kv, cand_theta)
-        if state is None:
-            continue
-        if state[2].sse < prev_sse:
-            return cand_theta, state
-        rise = state[2].sse - prev_sse
-        if kv.degree > 1 and last and low * last <= rise <= high * last:
-            return None
-    return None

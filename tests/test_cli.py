@@ -919,6 +919,46 @@ def test_out_in_missing_directory_is_file_error(
     assert _one_error_line(err) and kind in err
 
 
+@pytest.mark.parametrize("spelling", ["same", "link"])
+@pytest.mark.parametrize("command, clobbered", [
+    ("train", "data"), ("predict", "model"), ("predict", "data"),
+])
+def test_out_naming_an_input_is_file_error(
+    tmp_path, capsys, monkeypatch, command, clobbered, spelling
+) -> None:
+    """An --out that is one of the command's inputs, by the same name or
+    through a link, is refused before anything is read."""
+    data = synth_file(tmp_path)
+    model_path = str(tmp_path / "model.json")
+    assert main(["train", "--data", data, "--target", "y",
+                 "--out", model_path, "--B", "1", "--kmax", "1",
+                 "--stopping", "fixed_k"]) == EXIT_OK
+    victim = data if clobbered == "data" else model_path
+    out = victim
+    if spelling == "link":
+        out = str(tmp_path / "link")
+        os.symlink(victim, out)
+    if command == "train":
+        argv = ["train", "--data", data, "--target", "y", "--out", out]
+        first_work = "eppr.cli.load_csv"
+    else:
+        argv = ["predict", "--model", model_path, "--data", data,
+                "--out", out]
+        first_work = "eppr.ensemble.load_model"
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{first_work} ran before --out was checked")
+
+    monkeypatch.setattr(first_work, no_work)
+    before = Path(victim).read_bytes()
+    capsys.readouterr()
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}: is an input file\n"
+    )
+    assert Path(victim).read_bytes() == before
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="no /dev/full, whose writes fail with ENOSPC")
 @pytest.mark.parametrize("written", ["train", "predict", "synth",

@@ -2,11 +2,13 @@
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from eppr import ensemble
+from eppr import ensemble, singleindex
+from eppr.cli import generate_scenario
 from eppr.data_io import ColumnScaling
 from eppr.ensemble import (
     EnsembleModel,
@@ -270,6 +272,31 @@ class TestDeterminism:
         a = fit(X, y, small_config(seed=1))
         b = fit(X, y, small_config(seed=2))
         assert to_json_text(a) != to_json_text(b)
+
+
+class TestRowBlocks:
+    """Prediction over row blocks aligned to the ridge evaluator's chunks
+    gives the bytes of one call over every row."""
+
+    @pytest.mark.parametrize("mode", ["off", "ln_n"])
+    def test_aligned_blocks_match_one_call(self, mode) -> None:
+        X, y, _ = generate_scenario("ppr3", 400, 9, 0.5,
+                                    np.random.default_rng(12))
+        config = replace(default_config(400, 9), B=6, truncation_mode=mode)
+        model = fit(X, y, config)
+        chunk = singleindex._CHUNK_ROWS
+        fresh, _, _ = generate_scenario("ppr3", 3 * chunk + 5, 9, 0.5,
+                                        np.random.default_rng(13))
+        # Every fifth row lies far outside the training range.
+        fresh[::5] *= 3.0
+        for n in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            rows = fresh[:n]
+            blocks = [model.predict(rows[start:start + chunk])
+                      for start in range(0, n, chunk)]
+            joined = np.concatenate(blocks) if blocks else np.empty(0)
+            whole = model.predict(rows)
+            assert whole.shape == (n,)
+            assert whole.tobytes() == joined.tobytes()
 
 
 class TestSerialization:

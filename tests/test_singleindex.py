@@ -533,6 +533,23 @@ class TestRace:
         assert after == []
         assert sse == min(sses)
 
+    def test_one_ridge_record_per_fit(self, monkeypatch) -> None:
+        """Only the leader's ridge is built, and perhaps its sign flip."""
+        built: list = []
+
+        class CountedRidge(Ridge):
+            def __init__(self, *args, **kwargs) -> None:
+                built.append(None)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(singleindex, "Ridge", CountedRidge)
+        X, y, kv, _ = self.problem(50)
+        ridge, _ = fit_single_index(
+            X, y, kv, SingleIndexOptions(rng=np.random.default_rng(51))
+        )
+        assert isinstance(ridge, CountedRidge)
+        assert 1 <= len(built) <= 2
+
 
 def reference_transform(scaler: ProjectionScaler, z):
     """The expression ``ProjectionScaler.transform`` computed in one line."""
